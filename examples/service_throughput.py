@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Serving-layer demo: adaptive batching and cache hits on repeated pairs.
+"""Serving-layer demo: batching and cache hits on repeated pairs.
 
 Submits a mixed-length workload to :class:`repro.service.AlignmentService`
 one job at a time — the way online clients would — and shows that
 
-* the adaptive batcher coalesces the single submissions into engine-sized,
-  length-binned batches (amortising the inter-sequence batched kernel),
+* the FIFO batcher coalesces the single submissions, in submission order,
+  into engine-sized batches (amortising the inter-sequence batched kernel),
 * a second submission round of the same pairs is answered entirely from
   the content-addressed result cache, aligning nothing,
 * results are bit-identical to one direct ``align_batch`` call.
@@ -44,7 +44,6 @@ with AlignmentService(
     config=AlignConfig(
         engine="batched",
         xdrop=XDROP,
-        bin_width=500,
         service=ServiceConfig(num_workers=2, max_batch_size=16),
     )
 ) as service:

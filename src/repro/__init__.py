@@ -24,7 +24,7 @@ pure Python/NumPy:
 * :mod:`repro.logan` — the LOGAN kernel/batch/host/multi-GPU layers built on
   the GPU model;
 * :mod:`repro.service` — the asynchronous alignment service: a bounded
-  submission queue, an adaptive length-binned batcher, a content-addressed
+  submission queue, a FIFO batch former, a content-addressed
   result cache and a load-balanced sharded worker pool over the engine
   registry (:class:`repro.AlignmentService`);
 * :mod:`repro.bella` — the BELLA long-read overlapper substrate (k-mers,
@@ -45,12 +45,7 @@ pure Python/NumPy:
   registry (always live), opt-in structured tracing with context
   propagation, a flight-recorder crash ring, JSON-lines/Prometheus
   exporters and provenance stamping (``repro-obs`` CLI, CI
-  ``metrics-smoke``);
-* :mod:`repro.autotune` — the closed telemetry loop: per-length-bin
-  feedback controllers over windowed kernel telemetry that actuate
-  batch size and kernel knobs online, a ``gpusim``-backed what-if
-  planner gating growths, and a GCUPS-regression kill switch
-  (``ServiceConfig(autotune=...)``, CI ``autotune-smoke``).
+  ``metrics-smoke``).
 
 Quickstart
 ----------

@@ -12,8 +12,9 @@ one session facade:
 ``AlignConfig``
     A frozen, validating dataclass naming the engine (plus free-form
     ``engine_options``), the :class:`~repro.core.scoring.ScoringScheme`,
-    the X-drop threshold, worker count, seed policy, band/bin parameters
-    and — nested as a :class:`ServiceConfig` — every serving-layer knob.
+    the X-drop threshold, worker count, seed policy, BELLA's seed-bin
+    width, the band width and — nested as a :class:`ServiceConfig` — every
+    serving-layer knob.
     ``to_dict()``/``from_dict()`` round-trip through plain JSON, so one
     ``config.json`` can drive the library, every CLI subcommand
     (``--config config.json``) and any external orchestration.
@@ -76,8 +77,6 @@ _TRANSPORTS = ("thread", "process")
 
 _PREFILTER_MODES = ("off", "advise", "enforce")
 
-_AUTOTUNE_MODES = ("off", "advise", "on")
-
 
 def default_seed(policy: str, query_length: int, target_length: int) -> Seed:
     """The anchor seed a *policy* synthesises for an unseeded pair.
@@ -115,9 +114,10 @@ class ServiceConfig:
     num_workers:
         Worker shards of the pool (load-balanced by estimated DP cells).
     max_batch_size:
-        Adaptive batcher flush bound (engine-sized batch).
+        FIFO batcher flush bound (engine-sized batch).
     max_wait_seconds:
-        Latency bound: flush a bin once its oldest job waited this long.
+        Latency bound: flush the pending batch once its oldest job waited
+        this long.
     cache_capacity:
         LRU result-cache entries (0 disables caching).
     queue_capacity:
@@ -149,19 +149,6 @@ class ServiceConfig:
         Keyword overrides for :class:`repro.prefilter.PrefilterPolicy`
         (``k``, ``metric``, ``reject_distance``, ...).  Validated at
         config construction whenever the prefilter is on.
-    autotune:
-        Self-tuning mode.  ``"off"`` runs the static knobs; ``"advise"``
-        runs the :mod:`repro.autotune` controllers and counts every
-        decision without actuating anything; ``"on"`` additionally
-        actuates — per-bin batch sizes on the batcher and the batched
-        kernel's ``tile_width``/``compact_threshold`` engine overrides —
-        guarded by the what-if planner and the measured-GCUPS
-        kill-switch.  Every tuned knob is result-invariant, so all three
-        modes return bit-identical alignments.
-    autotune_options:
-        Keyword overrides for :class:`repro.autotune.AutotuneOptions`
-        (``window``, ``cooldown_batches``, ``revert_fraction``, ...).
-        Validated at config construction whenever autotune is on.
     """
 
     num_workers: int = 1
@@ -175,8 +162,6 @@ class ServiceConfig:
     state_path: str | None = None
     prefilter: str = "off"
     prefilter_options: dict[str, Any] = dataclasses.field(default_factory=dict)
-    autotune: str = "off"
-    autotune_options: dict[str, Any] = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:
         _require(
@@ -264,33 +249,6 @@ class ServiceConfig:
                 raise ConfigurationError(
                     f"service.prefilter_options: {exc}"
                 ) from exc
-        _require(
-            self.autotune in _AUTOTUNE_MODES,
-            "service.autotune",
-            f"must be one of {', '.join(_AUTOTUNE_MODES)}, "
-            f"got {self.autotune!r}",
-        )
-        _require(
-            isinstance(self.autotune_options, Mapping)
-            and all(isinstance(k, str) for k in self.autotune_options),
-            "service.autotune_options",
-            "must be a mapping with string keys, "
-            f"got {self.autotune_options!r}",
-        )
-        object.__setattr__(
-            self, "autotune_options", dict(self.autotune_options)
-        )
-        if self.autotune != "off" or self.autotune_options:
-            # Same eager validation as the prefilter: a bad knob fails at
-            # construction, naming the config field.
-            from .autotune import AutotuneOptions
-
-            try:
-                AutotuneOptions.from_options(self.autotune_options)
-            except (TypeError, ConfigurationError) as exc:
-                raise ConfigurationError(
-                    f"service.autotune_options: {exc}"
-                ) from exc
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready representation (inverse of :meth:`from_dict`)."""
@@ -346,8 +304,7 @@ class AlignConfig:
         ``"start"`` (position 0/0, the LOGAN benchmark convention) or
         ``"middle"`` (centre of the shorter sequence).
     bin_width:
-        Length-bin width in bases, shared by BELLA's diagonal binning and
-        the service batcher (0 disables binning).
+        Width in bases of BELLA's diagonal seed bins (must be >= 1).
     bandwidth:
         Static band half-width for engines that support one (the ksw2
         engine); ``None`` leaves the engine's own default.
@@ -403,9 +360,9 @@ class AlignConfig:
             f"must be one of {', '.join(SEED_POLICIES)}, got {self.seed_policy!r}",
         )
         _require(
-            int(self.bin_width) >= 0,
+            int(self.bin_width) >= 1,
             "bin_width",
-            f"must be >= 0 (0 disables binning), got {self.bin_width}",
+            f"must be >= 1, got {self.bin_width}",
         )
         object.__setattr__(self, "bin_width", int(self.bin_width))
         if self.bandwidth is not None:
@@ -650,7 +607,7 @@ _CONFIG_FLAGS = (
     ("xdrop", "--xdrop", int, "X-drop termination threshold"),
     ("workers", "--workers", int, "local worker processes"),
     ("seed_policy", "--seed-policy", str, "default seed anchor (start|middle)"),
-    ("bin_width", "--bin-width", int, "length/diagonal bin width in bases"),
+    ("bin_width", "--bin-width", int, "BELLA diagonal seed-bin width in bases"),
     ("bandwidth", "--bandwidth", int, "static band half-width (ksw2 engine)"),
 )
 
@@ -672,7 +629,6 @@ _SERVICE_FLAGS = (
     ("transport", "--transport", str, "worker transport (thread/process)"),
     ("state_path", "--state", str, "durable SQLite state file"),
     ("prefilter", "--prefilter", str, "admission triage (off/advise/enforce)"),
-    ("autotune", "--autotune", str, "self-tuning controllers (off/advise/on)"),
 )
 
 
@@ -747,8 +703,6 @@ def add_config_arguments(
                 extra["choices"] = list(_TRANSPORTS)
             if name == "prefilter":
                 extra["choices"] = list(_PREFILTER_MODES)
-            if name == "autotune":
-                extra["choices"] = list(_AUTOTUNE_MODES)
             group.add_argument(
                 flag,
                 type=ftype,

@@ -237,12 +237,8 @@ class BellaPipeline:
                 "pass config=repro.api.AlignConfig(...)",
             )
         if int(bin_width) <= 0:
-            # AlignConfig allows bin_width=0 (disables *service* batch
-            # binning); BELLA's diagonal seed binning needs a real width,
-            # so fail here with the field named instead of deep in run().
             raise ConfigurationError(
-                f"bin_width: must be positive for BELLA's diagonal seed "
-                f"binning (0 only disables service batch binning), got {bin_width}"
+                f"bin_width: must be positive, got {bin_width}"
             )
         self.k = int(k)
         self.reliable_lower = int(reliable_lower)
@@ -383,7 +379,9 @@ class BellaPipeline:
 
             with ob.span("bella.classification"), timer.stage("classification"):
                 overlaps = []
-                for candidate, choice, result in zip(kept, choices, results):
+                for candidate, choice, result in zip(
+                    kept, choices, results, strict=True
+                ):
                     accepted = self.threshold.passes(
                         result.score, choice.overlap_estimate
                     )

@@ -241,293 +241,8 @@ def _prefilter_bench_jobs(
     return jobs, labels
 
 
-#: The autotune bench's fixed-knob sweep, as multiples of the configured
-#: batch size: the operator guesses the self-tuned row must beat.
-_AUTOTUNE_FIXED_FACTORS = (0.5, 1.0, 2.0)
-
-#: The static batch size the autotune bench configures its services with.
-#: Deliberately conservative — the scenario the axis measures is a
-#: latency-cautious static default whose throughput headroom (up to the
-#: controller's 4x bound) the tuner must find online.  The fixed-knob
-#: rows bracket this base with :data:`_AUTOTUNE_FIXED_FACTORS`.
-_AUTOTUNE_BASE_BATCH_SIZE = 24
-
-#: Segments of the autotune bench's "mixed" profile: uniform short reads,
-#: noisier mid-length reads, and the long skewed tail — populations whose
-#: best knob settings differ, which is what per-bin tuning exploits.
-_AUTOTUNE_MIXED_SEGMENTS = ("pacbio", "ont", "length_skew")
-
-#: Default (pairs per wave, waves) per autotune profile.  The mixed
-#: profile spreads each wave across three segments and several length
-#: bins, so waves must carry more pairs for grown batches to actually
-#: form, and more waves amortise the early-wave adaptation cost.
-_AUTOTUNE_PROFILE_SCALE = {"skewed": (192, 8), "mixed": (288, 12)}
-
-#: Controller pacing used by the autotune bench rows: the workload is a
-#: handful of waves, so the windows must fill (and decisions land) within
-#: the first couple of waves for adaptation to pay inside the measurement.
-_AUTOTUNE_BENCH_OPTIONS = {
-    "window": 4,
-    "min_window_batches": 1,
-    "cooldown_batches": 0,
-    # Compaction keeps the windowed live fraction pinned well above 0.5,
-    # so the growth edge sits below the ~0.78-0.93 range the bench
-    # profiles actually produce; the stock 0.85 edge leaves mixed-profile
-    # bins stranded in the dead band.
-    "high_live_fraction": 0.75,
-}
-
-
-def _autotune_bench_jobs(
-    profile: str, pairs: int, seed: int, xdrop: int, scoring: ScoringScheme
-) -> list[AlignmentJob]:
-    """One wave of the autotune benchmark workload.
-
-    ``skewed`` is the pure ``length_skew`` bank; ``mixed`` interleaves
-    the :data:`_AUTOTUNE_MIXED_SEGMENTS` populations.  Waves with
-    different *seed* values generate distinct pairs, so the result cache
-    never answers a later wave and every row measures alignment work.
-    """
-    from ..workloads import WorkloadSpec, generate_workload
-
-    if profile == "skewed":
-        segments = ("length_skew",)
-    elif profile == "mixed":
-        segments = _AUTOTUNE_MIXED_SEGMENTS
-    else:
-        raise ConfigurationError(
-            f"autotune bench profile must be 'skewed' or 'mixed', "
-            f"got {profile!r}"
-        )
-    per_segment = max(1, pairs // len(segments))
-    jobs: list[AlignmentJob] = []
-    for offset, segment in enumerate(segments):
-        spec = WorkloadSpec(
-            count=per_segment,
-            seed=seed + 1000 * offset,
-            min_length=200,
-            max_length=900,
-            xdrop=xdrop,
-            scoring=scoring,
-        )
-        jobs.extend(generate_workload(segment, spec).jobs)
-    for pair_id, job in enumerate(jobs):
-        job.pair_id = pair_id
-    return jobs
-
-
-def _run_autotune_bench(
-    profile: str,
-    mode: str,
-    pairs: int,
-    xdrop: int,
-    seed: int,
-    batch_size: int,
-    workers: int,
-    quick: bool,
-    label: str,
-    options: dict | None,
-    waves: int,
-) -> BenchEntry:
-    """The ``autotune`` axis of :func:`run_service_bench`.
-
-    The workload arrives in *waves* (distinct fixed-seed generations of
-    the same *profile*), so a controller that adapts during the early
-    waves serves the later ones with tuned knobs — the closest a
-    deterministic benchmark gets to live traffic.  Rows:
-
-    * ``direct`` — every wave as one engine batch (offline upper bound);
-    * ``service_fixed_bs<N>`` — the same waves through static services
-      at the :data:`_AUTOTUNE_FIXED_FACTORS` spread of batch sizes with
-      default kernel knobs (the operator-guess baselines);
-    * ``service_autotune`` — the waves through a service with
-      ``autotune=mode``; its ``extra["autotune"]`` records the decision
-      history, the knobs it settled on, the planner's predicted payoffs,
-      and whether it beat every fixed row (``beats_fixed``).
-
-    ``speedup_vs_scalar`` on every service row is the speed-up over the
-    *default-batch-size fixed row* — the static configuration the tuned
-    service started from.
-    """
-    from ..api import AlignConfig, ServiceConfig
-    from ..service import AlignmentService
-
-    if quick:
-        pairs = min(pairs, 36)
-        waves = min(waves, 3)
-    scoring = ScoringScheme()
-    wave_jobs = [
-        _autotune_bench_jobs(profile, pairs, seed + wave, xdrop, scoring)
-        for wave in range(waves)
-    ]
-    engine = get_engine("batched", scoring=scoring, xdrop=xdrop)
-
-    direct_timer = Timer()
-    direct_scores: list[int] = []
-    cells = 0
-    with direct_timer:
-        for jobs in wave_jobs:
-            batch = engine.align_batch(jobs)
-            direct_scores.extend(batch.scores())
-            cells += batch.summary.cells
-
-    def run_waves(service: AlignmentService) -> tuple[float, list[int]]:
-        timer = Timer()
-        scores: list[int] = []
-        with timer:
-            for jobs in wave_jobs:
-                tickets = service.submit_many(jobs)
-                service.drain()
-                scores.extend(t.result(timeout=120.0).score for t in tickets)
-        return timer.elapsed, scores
-
-    def service_config(**service_kwargs) -> AlignConfig:
-        return AlignConfig(
-            engine="batched",
-            scoring=scoring,
-            xdrop=xdrop,
-            bin_width=500,
-            service=ServiceConfig(
-                num_workers=workers,
-                cache_capacity=0,
-                **service_kwargs,
-            ),
-        )
-
-    fixed_sizes = sorted(
-        {max(1, int(round(batch_size * f))) for f in _AUTOTUNE_FIXED_FACTORS}
-    )
-    fixed_seconds: dict[int, float] = {}
-    fixed_identical: dict[int, bool] = {}
-    for size in fixed_sizes:
-        with AlignmentService(
-            config=service_config(max_batch_size=size)
-        ) as fixed:
-            elapsed, scores = run_waves(fixed)
-        fixed_seconds[size] = elapsed
-        fixed_identical[size] = scores == direct_scores
-
-    tuned_options = dict(_AUTOTUNE_BENCH_OPTIONS)
-    tuned_options.update(options or {})
-    tuned = AlignmentService(
-        config=service_config(
-            max_batch_size=batch_size,
-            autotune=mode,
-            autotune_options=tuned_options,
-        )
-    )
-    try:
-        tuned_elapsed, tuned_scores = run_waves(tuned)
-        tuned_stats = tuned.stats()
-        metrics = tuned.metrics_snapshot(
-            provenance=build_provenance(seed=seed)
-        ).to_dict()
-    finally:
-        tuned.shutdown()
-
-    baseline_seconds = fixed_seconds[
-        min(fixed_sizes, key=lambda s: abs(s - batch_size))
-    ]
-
-    def row(name: str, seconds: float, identical: bool) -> BenchResult:
-        return BenchResult(
-            engine=name,
-            measured_seconds=seconds,
-            measured_gcups=gcups(cells, seconds),
-            speedup_vs_scalar=(
-                baseline_seconds / seconds if seconds > 0 else float("inf")
-            ),
-            scores_identical_to_reference=identical,
-            cells=cells,
-        )
-
-    rows = [row("direct", direct_timer.elapsed, True)]
-    for size in fixed_sizes:
-        rows.append(
-            row(
-                f"service_fixed_bs{size}",
-                fixed_seconds[size],
-                fixed_identical[size],
-            )
-        )
-    rows.append(
-        row(
-            "service_autotune",
-            tuned_elapsed,
-            tuned_scores == direct_scores,
-        )
-    )
-
-    snapshot = tuned_stats.autotune
-    decisions = (
-        tuned.autotune.decisions if tuned.autotune is not None else []
-    )
-    predicted = [
-        d.predicted_payoff
-        for d in decisions
-        if d.action == "applied" and d.predicted_payoff is not None
-    ]
-    best_fixed = min(fixed_seconds.values())
-    extra = {
-        "service_config": {
-            "batch_size": batch_size,
-            "workers": workers,
-            "bin_width": 500,
-            "fixed_batch_sizes": fixed_sizes,
-        },
-        "kernel_live_fraction": tuned_stats.kernel_live_fraction,
-        "suggested_batch_size": tuned_stats.suggested_batch_size,
-        "autotune": {
-            "mode": mode,
-            "profile": profile,
-            "waves": len(wave_jobs),
-            "pairs_per_wave": len(wave_jobs[0]),
-            "options": tuned_options,
-            "snapshot": snapshot,
-            "fixed_seconds": {
-                str(size): fixed_seconds[size] for size in fixed_sizes
-            },
-            "autotune_seconds": tuned_elapsed,
-            "beats_fixed": tuned_elapsed < best_fixed,
-            "speedup_vs_best_fixed": (
-                best_fixed / tuned_elapsed if tuned_elapsed > 0 else float("inf")
-            ),
-            "predicted_payoffs": predicted,
-            # Measured payoff of the whole tuned run over the static
-            # config it started from — the number the planner's
-            # predictions are judged against in examples/tests.
-            "measured_payoff": (
-                baseline_seconds / tuned_elapsed if tuned_elapsed > 0 else None
-            ),
-        },
-        # The autotune axis measures a different (wave-based, profiled)
-        # workload than the default series; fork the baseline signature.
-        "workload": {
-            "autotune": mode,
-            "autotune_profile": profile,
-            "waves": len(wave_jobs),
-        },
-    }
-    return BenchEntry(
-        kind="service",
-        label=label,
-        batch_size=sum(len(jobs) for jobs in wave_jobs),
-        xdrop=xdrop,
-        rng_seed=seed,
-        scoring={
-            "match": scoring.match,
-            "mismatch": scoring.mismatch,
-            "gap": scoring.gap,
-        },
-        quick=quick,
-        rows=rows,
-        extra=extra,
-        metrics=metrics,
-    )
-
-
 def run_service_bench(
-    pairs: int | None = None,
+    pairs: int = 192,
     xdrop: int = 50,
     seed: int = 2020,
     batch_size: int = 48,
@@ -537,17 +252,12 @@ def run_service_bench(
     process_workers: int = 0,
     prefilter: str = "off",
     prefilter_options: dict | None = None,
-    autotune: str = "off",
-    autotune_profile: str = "skewed",
-    autotune_options: dict | None = None,
-    autotune_waves: int | None = None,
-    autotune_batch_size: int = _AUTOTUNE_BASE_BATCH_SIZE,
 ) -> BenchEntry:
     """Time the serving layer three ways on one fixed-seed workload.
 
     Rows: ``direct`` (one engine batch — the offline upper bound),
     ``per_job`` (one engine call per request — what the service replaces)
-    and ``service`` (individual submissions through the adaptive batcher,
+    and ``service`` (individual submissions through the FIFO batcher,
     plus a cache-served resubmission round recorded in ``extra``).  The
     ``speedup_vs_scalar`` column of the service rows is the speed-up over
     *per-job submission* — the serving layer's own scalar baseline.
@@ -570,37 +280,10 @@ def run_service_bench(
     counts, reject precision/recall against the segment ground truth,
     the false-rejection count and the speed-up over the no-prefilter
     service row; such entries also fork their own baseline series.
-
-    With ``autotune != "off"`` the run is the self-tuning axis instead
-    (see :func:`_run_autotune_bench`): a wave-based ``skewed`` or
-    ``mixed`` profile workload through a spread of fixed-knob services
-    and one autotuned service, recording a ``service_autotune`` row that
-    is expected to beat every fixed row.  The axis runs at its own
-    conservative static base (``autotune_batch_size``, default
-    :data:`_AUTOTUNE_BASE_BATCH_SIZE`) rather than ``batch_size`` — the
-    scenario it measures is a latency-cautious default whose throughput
-    headroom the tuner finds online.
     """
     from ..api import AlignConfig, ServiceConfig
     from ..service import AlignmentService
 
-    if autotune != "off":
-        scale = _AUTOTUNE_PROFILE_SCALE.get(autotune_profile, (192, 6))
-        return _run_autotune_bench(
-            profile=autotune_profile,
-            mode=autotune,
-            pairs=pairs if pairs is not None else scale[0],
-            xdrop=xdrop,
-            seed=seed,
-            batch_size=autotune_batch_size,
-            workers=workers,
-            quick=quick,
-            label=label,
-            options=autotune_options,
-            waves=autotune_waves if autotune_waves is not None else scale[1],
-        )
-    if pairs is None:
-        pairs = 192
     if quick:
         pairs = min(pairs, 24)
         batch_size = min(batch_size, 8)
@@ -627,7 +310,6 @@ def run_service_bench(
             engine="batched",
             scoring=scoring,
             xdrop=xdrop,
-            bin_width=500,
             service=ServiceConfig(
                 num_workers=workers,
                 max_batch_size=batch_size,
@@ -659,8 +341,7 @@ def run_service_bench(
                 engine="batched",
                 scoring=scoring,
                 xdrop=xdrop,
-                bin_width=500,
-                service=ServiceConfig(
+                    service=ServiceConfig(
                     num_workers=process_workers,
                     max_batch_size=batch_size,
                     cache_capacity=4 * len(jobs),
@@ -700,8 +381,7 @@ def run_service_bench(
                 engine="batched",
                 scoring=scoring,
                 xdrop=xdrop,
-                bin_width=500,
-                service=ServiceConfig(
+                    service=ServiceConfig(
                     num_workers=workers,
                     max_batch_size=batch_size,
                     cache_capacity=4 * len(jobs),
@@ -748,7 +428,6 @@ def run_service_bench(
         "service_config": {
             "batch_size": batch_size,
             "workers": workers,
-            "bin_width": 500,
         },
         "batches_formed": stats.batches_formed,
         "mean_batch_size": stats.mean_batch_size,

@@ -182,7 +182,7 @@ class BatchKernelStats:
     def suggested_batch_size(
         self, current: int, max_batch_size: int | None = None
     ) -> int:
-        """Batch-sizing hint for the serving layer's adaptive batcher.
+        """Batch-sizing hint for the serving layer's batcher.
 
         A low live fraction means retirement times are very uneven, so a
         smaller batch wastes fewer union-window columns and row slots on
@@ -255,7 +255,7 @@ class WindowedKernelStats:
     The lifetime accumulator the serving layer used to keep answers "what
     has the kernel done since the process started" — a signal that goes
     stale the moment traffic shifts, because hours of history outvote the
-    last minute.  Controllers need the opposite: *windowed* telemetry over
+    last minute.  A sizing hint needs the opposite: *windowed* telemetry over
     the last ``window`` batches, so a change in live fraction shows up
     within a handful of dispatches.
 

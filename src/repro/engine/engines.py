@@ -87,11 +87,6 @@ class _EngineBase:
 
     name = "abstract"
     exact = True
-    #: Result-invariant tuning attributes the autotune layer may override
-    #: in place on a live instance.  Empty by default: the per-pair
-    #: kernels (compiled/wavefront) have neither active-row compaction
-    #: nor column tiling, so they expose no online tuning surface.
-    TUNABLE_KNOBS: tuple = ()
 
     def __init__(
         self,
@@ -241,9 +236,6 @@ class BatchedEngine(_EngineBase):
     """
 
     name = "batched"
-    #: Both knobs are read per align_batch call, so the autotune layer can
-    #: retune a live instance between dispatches (results are invariant).
-    TUNABLE_KNOBS = ("tile_width", "compact_threshold")
 
     def __init__(
         self,
@@ -525,7 +517,9 @@ class Ksw2Engine(_EngineBase):
         )
         batch = aligner.align_batch(jobs)
         results = []
-        for job, (left, right), score in zip(jobs, batch.results, batch.scores):
+        for job, (left, right), score in zip(
+            jobs, batch.results, batch.scores, strict=True
+        ):
             left_ext = self._to_extension(left)
             right_ext = self._to_extension(right)
             seed = job.seed

@@ -308,7 +308,7 @@ class LoganAligner:
                         workers=self.workers,
                         engine=self.engine,
                     )
-                    for task, result in zip(tasks, execution.results):
+                    for task, result in zip(tasks, execution.results, strict=True):
                         sink[task.job_index] = result
                     if execution.workload.sampled_blocks > 0:
                         device_timings.append(

@@ -212,9 +212,10 @@ def run_extension_stream(
                 f"unknown extension engine {engine!r}; "
                 f"available: {sorted(EXTENSION_EXECUTORS)}"
             )
-    results = executor(list(tasks), scoring, xdrop, workers)
+    tasks = list(tasks)
+    results = executor(tasks, scoring, xdrop, workers)
     workload = KernelWorkload(replication=replication)
-    for task, result in zip(tasks, results):
+    for task, result in zip(tasks, results, strict=True):
         if task.is_empty:
             continue
         workload.add(

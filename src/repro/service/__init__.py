@@ -2,7 +2,7 @@
 
 The serving layer over the engine registry.  Individually submitted
 :class:`~repro.core.job.AlignmentJob` requests are content-addressed against
-an LRU result cache, coalesced by an adaptive length-binned batcher into
+an LRU result cache, coalesced in submission order by a FIFO batcher into
 engine-sized batches, and sharded across a load-balanced worker pool — the
 paper's host-side batching and multi-GPU partitioning (Section IV) recast
 as a production front door.

@@ -1,11 +1,7 @@
-"""Adaptive batch former: coalesce single submissions into engine-sized batches.
+"""FIFO batch former: coalesce single submissions into engine-sized batches.
 
-The inter-sequence batched kernel pads every extension in a batch to a
-common anti-diagonal grid, so a batch of wildly different lengths wastes
-cells on padding.  The batcher therefore groups pending jobs by *length
-bin* (reusing :func:`repro.bella.binning.length_bin`, the same
-``floor_divide`` edges BELLA's diagonal binning uses) and flushes a bin
-when either
+Pending tickets wait in one first-in-first-out list, whatever their
+lengths.  The batcher flushes that list, in submission order, when
 
 * it reaches ``max_batch_size`` jobs (the engine-sized batch), or
 * its oldest job has waited ``max_wait_seconds`` (latency bound), or
@@ -13,14 +9,16 @@ when either
 
 This is the host-side batching of the paper's Section IV recast as a
 serving policy: individually submitted requests amortise into the same
-device-sized batches the offline pipeline builds up front.
+device-sized batches the offline pipeline builds up front.  Like LOGAN
+(one thread block per extension) the batcher does not group by length:
+the batched kernel's active-row compaction already retires short rows
+early, so splitting a workload by length only adds anti-diagonal steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..bella.binning import length_bin
 from ..errors import ServiceError
 from .queue import AlignmentTicket
 
@@ -29,24 +27,20 @@ __all__ = ["BatchPolicy", "FormedBatch", "AdaptiveBatcher"]
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """Knobs of the adaptive batch former.
+    """Knobs of the batch former.
 
     Attributes
     ----------
     max_batch_size:
-        Flush a bin as soon as it holds this many jobs.
+        Flush as soon as this many jobs are pending.
     max_wait_seconds:
-        Flush a bin once its oldest job has waited this long, even if the
-        bin is not full (bounds per-request latency under light traffic).
-    bin_width:
-        Length-bin width in bases; jobs whose ``query + target`` length
-        falls in the same bin batch together.  ``0`` disables binning
-        (everything shares one bin).
+        Flush once the oldest pending job has waited this long, even if
+        the batch is not full (bounds per-request latency under light
+        traffic).
     """
 
     max_batch_size: int = 64
     max_wait_seconds: float = 0.05
-    bin_width: int = 500
 
     def __post_init__(self) -> None:
         if self.max_batch_size <= 0:
@@ -55,8 +49,6 @@ class BatchPolicy:
             )
         if self.max_wait_seconds < 0:
             raise ServiceError("max_wait_seconds must be non-negative")
-        if self.bin_width < 0:
-            raise ServiceError("bin_width must be non-negative")
 
 
 @dataclass
@@ -67,14 +59,11 @@ class FormedBatch:
     ----------
     tickets:
         The member tickets, in submission order.
-    length_bin:
-        The bin the batch was formed from.
     reason:
         Why it flushed: ``"size"``, ``"wait"`` or ``"drain"``.
     """
 
     tickets: list[AlignmentTicket]
-    length_bin: int
     reason: str
 
     @property
@@ -87,23 +76,17 @@ class FormedBatch:
         return [t.job for t in self.tickets]
 
 
-@dataclass
-class _Bin:
-    tickets: list[AlignmentTicket] = field(default_factory=list)
-    oldest_arrival: float = 0.0
-
-
 #: Occupancy buckets: powers of two up to the default engine batch size x4.
 _OCCUPANCY_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
 class AdaptiveBatcher:
-    """Groups pending tickets into length bins and decides when to flush."""
+    """Holds pending tickets in one FIFO and decides when to flush it."""
 
     def __init__(self, policy: BatchPolicy | None = None, obs=None) -> None:
         self.policy = policy or BatchPolicy()
-        self._bins: dict[int, _Bin] = {}
-        self._bin_limits: dict[int, int] = {}
+        self._tickets: list[AlignmentTicket] = []
+        self._oldest_arrival = 0.0
         self.batches_formed = 0
         self.flush_reasons: dict[str, int] = {"size": 0, "wait": 0, "drain": 0}
         self._obs = obs
@@ -119,7 +102,7 @@ class AdaptiveBatcher:
                 buckets=_OCCUPANCY_BUCKETS,
             )
             self._pending_gauge = obs.gauge(
-                "repro_batcher_pending", "tickets waiting in the batcher bins"
+                "repro_batcher_pending", "tickets waiting in the batcher"
             )
         else:
             self._formed_counter = None
@@ -128,105 +111,51 @@ class AdaptiveBatcher:
 
     @property
     def pending(self) -> int:
-        """Number of tickets waiting in the bins."""
-        return sum(len(b.tickets) for b in self._bins.values())
-
-    def _bin_of(self, ticket: AlignmentTicket) -> int:
-        if self.policy.bin_width == 0:
-            return 0
-        job = ticket.job
-        return length_bin(
-            job.query_length + job.target_length, self.policy.bin_width
-        )
-
-    def limit_for(self, index: int) -> int:
-        """Effective size-flush limit of a bin (per-bin override or policy)."""
-        return self._bin_limits.get(index, self.policy.max_batch_size)
-
-    def set_bin_limit(self, index: int, limit: int) -> None:
-        """Override one bin's size-flush limit (autotune actuation point).
-
-        The override only changes *when* a bin flushes, never what the
-        batches compute, so results stay bit-identical by construction.
-        A bin already holding more tickets than the new limit flushes on
-        its next admission (or wait/drain) rather than immediately.
-        """
-        if limit < 1:
-            raise ServiceError(f"bin limit must be positive, got {limit}")
-        self._bin_limits[index] = int(limit)
-
-    def clear_bin_limits(self) -> None:
-        """Drop every per-bin override (autotune kill-switch revert)."""
-        self._bin_limits.clear()
-
-    @property
-    def bin_limits(self) -> dict[int, int]:
-        """Snapshot of the per-bin overrides currently in force."""
-        return dict(self._bin_limits)
+        """Number of tickets waiting in the FIFO."""
+        return len(self._tickets)
 
     def add(self, ticket: AlignmentTicket, now: float) -> FormedBatch | None:
-        """Admit one ticket; return a batch iff its bin just filled up."""
-        index = self._bin_of(ticket)
-        bucket = self._bins.get(index)
-        if bucket is None:
-            # _flush_bin pops a bin outright, so a bucket present in the
-            # map always holds tickets — no empty-bucket arrival reset.
-            bucket = self._bins[index] = _Bin(oldest_arrival=now)
-        bucket.tickets.append(ticket)
-        formed = None
-        if len(bucket.tickets) >= self.limit_for(index):
-            formed = self._flush_bin(index, "size")
-        elif self._pending_gauge is not None:
-            # The size-flush path refreshes the gauge inside _flush_bin;
-            # this branch covers the still-pending admission, so the gauge
+        """Admit one ticket; return a batch iff the FIFO just filled up."""
+        if not self._tickets:
+            self._oldest_arrival = now
+        self._tickets.append(ticket)
+        if len(self._tickets) >= self.policy.max_batch_size:
+            return self._flush("size")
+        if self._pending_gauge is not None:
+            # The size-flush path refreshes the gauge inside _flush; this
+            # branch covers the still-pending admission, so the gauge
             # tracks ``pending`` after every add.
             self._pending_gauge.set(self.pending)
-        return formed
+        return None
 
     def due(self, now: float) -> list[FormedBatch]:
-        """Batches whose oldest member has exceeded the wait bound."""
-        formed = []
-        for index in list(self._bins):
-            bucket = self._bins[index]
-            if (
-                bucket.tickets
-                and now - bucket.oldest_arrival >= self.policy.max_wait_seconds
-            ):
-                formed.append(self._flush_bin(index, "wait"))
-        return formed
+        """The pending batch, if its oldest member exceeded the wait bound."""
+        if (
+            self._tickets
+            and now - self._oldest_arrival >= self.policy.max_wait_seconds
+        ):
+            return [self._flush("wait")]
+        return []
 
     def next_deadline(self, now: float) -> float | None:
-        """Seconds until the earliest wait-bound flush (None when empty)."""
-        arrivals = [
-            b.oldest_arrival for b in self._bins.values() if b.tickets
-        ]
-        if not arrivals:
+        """Seconds until the wait-bound flush (None when empty)."""
+        if not self._tickets:
             return None
-        return max(0.0, min(arrivals) + self.policy.max_wait_seconds - now)
+        return max(0.0, self._oldest_arrival + self.policy.max_wait_seconds - now)
 
     def flush_all(self) -> list[FormedBatch]:
-        """Flush every non-empty bin (drain / shutdown path)."""
-        formed = [
-            self._flush_bin(index, "drain")
-            for index in list(self._bins)
-            if self._bins[index].tickets
-        ]
-        return formed
+        """Flush whatever is pending (drain / shutdown path)."""
+        return [self._flush("drain")] if self._tickets else []
 
-    def _flush_bin(self, index: int, reason: str) -> FormedBatch:
-        bucket = self._bins.pop(index)
+    def _flush(self, reason: str) -> FormedBatch:
+        tickets, self._tickets = self._tickets, []
         self.batches_formed += 1
         self.flush_reasons[reason] += 1
         if self._formed_counter is not None:
             self._formed_counter.inc(reason=reason)
-            self._occupancy_hist.observe(len(bucket.tickets))
-            self._pending_gauge.set(self.pending)
+            self._occupancy_hist.observe(len(tickets))
+            self._pending_gauge.set(0)
         if self._obs is not None:
-            with self._obs.span(
-                "batcher.flush",
-                reason=reason,
-                size=len(bucket.tickets),
-                length_bin=index,
-            ):
+            with self._obs.span("batcher.flush", reason=reason, size=len(tickets)):
                 pass
-        return FormedBatch(tickets=bucket.tickets, length_bin=index, reason=reason)
+        return FormedBatch(tickets=tickets, reason=reason)

@@ -6,8 +6,8 @@ individually submitted alignment requests:
 1. ``submit`` computes the content-addressed cache key; a hit resolves the
    ticket immediately, a miss enqueues it on the bounded submission queue
    (backpressure);
-2. the processing loop feeds tickets into the adaptive batcher, which
-   coalesces them into length-binned, engine-sized batches;
+2. the processing loop feeds tickets into the FIFO batcher, which
+   coalesces them, in submission order, into engine-sized batches;
 3. formed batches run on the sharded worker pool (load-balanced by
    estimated DP cells, the paper's host-side policy), results are scattered
    back to the tickets and inserted into the cache.
@@ -16,7 +16,7 @@ The service runs in two modes.  *Inline* (default): nothing happens until
 :meth:`drain`, which processes everything synchronously — deterministic,
 the mode tests and the BELLA pipeline use.  *Background*: :meth:`start`
 spawns a daemon thread that forms and dispatches batches as requests
-arrive, flushing partially filled bins after the policy's max-wait —
+arrive, flushing a partially filled batch after the policy's max-wait —
 the live-serving mode of the ``repro-service`` CLI.
 """
 
@@ -56,7 +56,7 @@ class ServiceStats:
     submitted, completed:
         Jobs accepted / jobs resolved (cache hits count as both).
     queue_depth, batcher_pending:
-        Work currently waiting in the queue / in the batcher bins.
+        Work currently waiting in the queue / in the batcher.
     batches_formed:
         Batches the batcher has flushed, by any reason.
     flush_reasons:
@@ -79,11 +79,6 @@ class ServiceStats:
     prefilter_mode, prefilter_decisions:
         Admission triage mode (``"off"``/``"advise"``/``"enforce"``) and
         the per-outcome decision counts (empty when the prefilter is off).
-    autotune_mode, autotune:
-        Self-tuning mode (``"off"``/``"advise"``/``"on"``) and the
-        :meth:`repro.autotune.AutotuneManager.snapshot` — decision counts,
-        per-bin batch sizes, engine knobs, kill-switch state (empty when
-        autotune is off).
     """
 
     submitted: int = 0
@@ -101,8 +96,6 @@ class ServiceStats:
     suggested_batch_size: int | None = None
     prefilter_mode: str = "off"
     prefilter_decisions: dict = field(default_factory=dict)
-    autotune_mode: str = "off"
-    autotune: dict = field(default_factory=dict)
 
     @property
     def mean_batch_size(self) -> float:
@@ -143,8 +136,6 @@ class ServiceStats:
             "suggested_batch_size": self.suggested_batch_size,
             "prefilter_mode": self.prefilter_mode,
             "prefilter_decisions": dict(self.prefilter_decisions),
-            "autotune_mode": self.autotune_mode,
-            "autotune": dict(self.autotune),
         }
 
 
@@ -161,7 +152,7 @@ class AlignmentService:
     num_workers:
         Worker shards of the pool (load-balanced by estimated cells).
     policy:
-        The :class:`BatchPolicy` of the adaptive batcher.
+        The :class:`BatchPolicy` of the FIFO batcher.
     cache_capacity:
         LRU result-cache entries (0 disables caching).
     queue_capacity:
@@ -216,7 +207,6 @@ class AlignmentService:
             policy = BatchPolicy(
                 max_batch_size=svc.max_batch_size,
                 max_wait_seconds=svc.max_wait_seconds,
-                bin_width=config.bin_width,
             )
             cache_capacity = svc.cache_capacity
             queue_capacity = svc.queue_capacity
@@ -226,8 +216,6 @@ class AlignmentService:
             state_path = svc.state_path
             prefilter_mode = svc.prefilter
             prefilter_options = svc.prefilter_options
-            autotune_mode = svc.autotune
-            autotune_options = svc.autotune_options
         elif (
             engine != "batched"
             or scoring is not None
@@ -253,8 +241,6 @@ class AlignmentService:
             state_path = None
             prefilter_mode = "off"
             prefilter_options = {}
-            autotune_mode = "off"
-            autotune_options = {}
         self.config = config
         self.scoring = scoring if scoring is not None else ScoringScheme()
         self.xdrop = int(xdrop)
@@ -335,26 +321,9 @@ class AlignmentService:
             labelnames=("outcome",),
         )
         # Windowed compaction telemetry over the most recent batches — the
-        # signal the controllers (and the stats() hints) read.  A lifetime
-        # accumulator would let hours-old traffic outvote the last minute.
+        # signal the stats() hints read.  A lifetime accumulator would let
+        # hours-old traffic outvote the last minute.
         self._kernel_stats = WindowedKernelStats()
-        self.autotune_mode = autotune_mode
-        self.autotune = None
-        if autotune_mode != "off":
-            from ..autotune import AutotuneManager, AutotuneOptions
-
-            self.autotune = AutotuneManager(
-                mode=autotune_mode,
-                options=AutotuneOptions.from_options(autotune_options),
-                batcher=self.batcher,
-                # Engine-knob overrides only reach a kernel running in
-                # this interpreter; process-transport workers rebuild
-                # their engines in their own processes, so only the
-                # batch-size knob tunes there.
-                engine=self.engine if transport != "process" else None,
-                base_batch_size=self.policy.max_batch_size,
-                obs=self.obs,
-            )
         self.crash_dump_path = None  # optional JSON path for crash dumps
         self.last_crash_dump: dict | None = None
         self._recovered_c = self.obs.counter(
@@ -492,10 +461,7 @@ class AlignmentService:
             # from — an engine instance with different defaults must not
             # poison the content-addressed cache.
             with self.obs.span(
-                "service.dispatch",
-                size=batch.size,
-                length_bin=batch.length_bin,
-                reason=batch.reason,
+                "service.dispatch", size=batch.size, reason=batch.reason
             ):
                 run = self.pool.run_batch(
                     batch.jobs(), scoring=self.scoring, xdrop=self.xdrop
@@ -515,7 +481,7 @@ class AlignmentService:
             # drop the tail and leave those submitters blocked forever.
             error = ServiceError(
                 f"engine returned {len(run.results)} results for a batch "
-                f"of {batch.size} jobs (length bin {batch.length_bin}): "
+                f"of {batch.size} jobs: "
                 "refusing to scatter a mismatched batch"
             )
             if durable_ids:
@@ -536,8 +502,7 @@ class AlignmentService:
             kernel_stats = run.extras.get("kernel_stats")
             if kernel_stats is not None:
                 # Windowed compaction telemetry: stats() turns it into
-                # the batch-sizing hint, the autotune controllers act on
-                # it.
+                # the batch-sizing hint.
                 self._kernel_stats.observe(kernel_stats)
                 self._live_fraction_g.set(
                     self._kernel_stats.rows_weighted_live_fraction
@@ -546,14 +511,6 @@ class AlignmentService:
                     self._kernel_stats.suggested_batch_size(
                         self.policy.max_batch_size
                     )
-                )
-            if self.autotune is not None:
-                self.autotune.on_batch(
-                    length_bin=batch.length_bin,
-                    batch_size=batch.size,
-                    kernel_stats=kernel_stats,
-                    cells=run.summary.cells,
-                    elapsed_seconds=run.elapsed_seconds,
                 )
             for ticket, result in zip(batch.tickets, run.results):
                 self.cache.put(ticket.cache_key, result)
@@ -571,7 +528,6 @@ class AlignmentService:
             "worker_crash",
             error=repr(error),
             batch_size=batch.size,
-            length_bin=batch.length_bin,
             reason=batch.reason,
         )
         if self.obs.recorder is not None:
@@ -717,12 +673,6 @@ class AlignmentService:
                         for outcome in PREFILTER_OUTCOMES
                     }
                     if self.prefilter is not None
-                    else {}
-                ),
-                autotune_mode=self.autotune_mode,
-                autotune=(
-                    self.autotune.snapshot()
-                    if self.autotune is not None
                     else {}
                 ),
             )

@@ -116,6 +116,18 @@ class TestAlignConfigValidation:
             AlignConfig(**kwargs)
         assert field_name in str(excinfo.value)
 
+    def test_zero_bin_width_rejected_by_config(self):
+        # bin_width is BELLA's diagonal seed-bin width only: 0 has no
+        # meaning, so the config refuses it before any layer sees it.
+        with pytest.raises(ConfigurationError) as excinfo:
+            AlignConfig(bin_width=0)
+        assert "bin_width" in str(excinfo.value)
+
+    def test_pipeline_loose_kwarg_rejects_zero_bin_width(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            BellaPipeline(bin_width=0)
+        assert "bin_width" in str(excinfo.value)
+
     def test_seed_policy_choices_listed(self):
         with pytest.raises(ConfigurationError) as excinfo:
             AlignConfig(seed_policy="nope")
@@ -148,11 +160,6 @@ class TestAlignConfigValidation:
         svc = ServiceConfig(num_workers=2.5, max_wait_seconds=1)
         assert svc.num_workers == 2 and isinstance(svc.num_workers, int)
         assert svc.max_wait_seconds == 1.0 and isinstance(svc.max_wait_seconds, float)
-
-    def test_pipeline_rejects_zero_bin_width_early(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            BellaPipeline(config=AlignConfig(bin_width=0))
-        assert "bin_width" in str(excinfo.value)
 
     def test_service_from_dict_rejects_unknown_keys_by_name(self):
         with pytest.raises(ConfigurationError) as excinfo:

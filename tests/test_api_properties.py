@@ -66,7 +66,7 @@ configs = st.builds(
     workers=st.integers(min_value=1, max_value=16),
     trace=st.booleans(),
     seed_policy=st.sampled_from(["start", "middle"]),
-    bin_width=st.integers(min_value=0, max_value=5000),
+    bin_width=st.integers(min_value=1, max_value=5000),
     bandwidth=st.one_of(st.none(), st.integers(min_value=1, max_value=1000)),
     service=service_configs,
 )

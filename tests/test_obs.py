@@ -459,10 +459,10 @@ class TestBatcherPendingGauge:
     """``repro_batcher_pending`` must equal ``pending`` after every mutation.
 
     The batcher has two code paths that refresh the gauge — the still-pending
-    admission branch in :meth:`add` and the flush path in ``_flush_bin`` — and
-    a per-bin limit override that changes which of the two fires.  This test
-    walks every path and asserts the invariant after each step, so a future
-    refactor cannot silently leave the gauge stale on one of them.
+    admission branch in :meth:`add` and the flush path in ``_flush``.  This
+    test walks every flush reason and asserts the invariant after each step,
+    so a future refactor cannot silently leave the gauge stale on one of
+    them.
     """
 
     def _ticket(self, length=100):
@@ -482,7 +482,7 @@ class TestBatcherPendingGauge:
 
         bundle = obs.get_observability().scoped()
         batcher = AdaptiveBatcher(
-            BatchPolicy(max_batch_size=3, bin_width=0, max_wait_seconds=0.5),
+            BatchPolicy(max_batch_size=3, max_wait_seconds=0.5),
             obs=bundle,
         )
 
@@ -501,23 +501,14 @@ class TestBatcherPendingGauge:
         check()
         assert batcher.pending == 0
 
-        # Wait-bound flush (due) refreshes through _flush_bin as well.
+        # Wait-bound flush (due) refreshes through _flush as well.
         batcher.add(self._ticket(), now=10.0)
         check()
         assert batcher.due(now=10.6)
         check()
         assert batcher.pending == 0
 
-        # A per-bin autotune override moves the size-flush boundary: one
-        # admission stays pending under limit 2, the second flushes.
-        batcher.set_bin_limit(0, 2)
-        batcher.add(self._ticket(), now=20.0)
-        check()
-        assert batcher.add(self._ticket(), now=20.0) is not None
-        check()
-
-        # Drain path: two bins pending, flush_all empties both.
-        batcher.clear_bin_limits()
+        # Drain path: two tickets pending, flush_all empties the FIFO.
         batcher.add(self._ticket(), now=30.0)
         batcher.add(self._ticket(), now=30.0)
         check()

@@ -247,20 +247,27 @@ class TestAdaptiveBatcher:
         )
 
     def test_size_triggered_flush(self):
-        batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=3, bin_width=0))
+        batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=3))
         assert batcher.add(self._ticket(100), now=0.0) is None
         assert batcher.add(self._ticket(100), now=0.0) is None
         batch = batcher.add(self._ticket(100), now=0.0)
         assert batch is not None and batch.size == 3 and batch.reason == "size"
         assert batcher.pending == 0
 
-    def test_length_binning_separates_classes(self):
-        batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=8, bin_width=500))
-        batcher.add(self._ticket(100), now=0.0)   # bin 0 (total 200)
-        batcher.add(self._ticket(400), now=0.0)   # bin 1 (total 800)
-        batches = batcher.flush_all()
-        assert len(batches) == 2
-        assert {b.reason for b in batches} == {"drain"}
+    def test_fifo_flushes_mixed_lengths_together_in_submission_order(self):
+        batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=4))
+        tickets = [
+            self._ticket(length) for length in (100, 1500, 100, 1500)
+        ]  # 200 bp and 3 kb pairs interleaved
+        for ticket in tickets[:-1]:
+            assert batcher.add(ticket, now=0.0) is None
+        batch = batcher.add(tickets[-1], now=0.0)
+        assert batch is not None and batch.reason == "size"
+        assert batch.tickets == tickets
+        assert [j.query_length + j.target_length for j in batch.jobs()] == [
+            200, 3000, 200, 3000
+        ]
+        assert batcher.pending == 0 and batcher.flush_all() == []
 
     def test_wait_triggered_flush(self):
         batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=8, max_wait_seconds=0.5))
@@ -327,7 +334,7 @@ class TestAlignmentServiceEndToEnd:
             scoring=SCORING,
             xdrop=30,
             num_workers=2,
-            policy=BatchPolicy(max_batch_size=6, bin_width=600),
+            policy=BatchPolicy(max_batch_size=6),
         )
         tickets = [service.submit(job) for job in jobs]
         service.drain()
@@ -518,7 +525,7 @@ class TestServiceUnderLoad:
                     assert res.right.best_score == ref.right.best_score
             assert len(results) == len(all_tickets)
 
-            service.drain()  # settle any jobs still in the batcher bins
+            service.drain()  # settle any jobs still in the batcher
             stats = service.stats()
             # Cache-hit accounting balances exactly: every submission is
             # either a hit or a miss, everything submitted completed, and
@@ -631,7 +638,7 @@ class TestDispatchResultCountGuard:
             engine="batched",
             scoring=SCORING,
             xdrop=30,
-            policy=BatchPolicy(max_batch_size=16, bin_width=0),
+            policy=BatchPolicy(max_batch_size=16),
         )
         try:
             self.truncate_pool(service)
@@ -656,7 +663,7 @@ class TestDispatchResultCountGuard:
             engine="batched",
             scoring=SCORING,
             xdrop=30,
-            policy=BatchPolicy(max_batch_size=8, bin_width=0),
+            policy=BatchPolicy(max_batch_size=8),
         )
         try:
             original = self.truncate_pool(service)
@@ -685,7 +692,6 @@ class TestDispatchResultCountGuard:
             engine="batched",
             scoring=SCORING,
             xdrop=30,
-            bin_width=0,  # one bin -> the four jobs form one batch
             service=ServiceConfig(
                 max_batch_size=8,
                 cache_capacity=0,
