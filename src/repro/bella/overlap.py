@@ -7,18 +7,22 @@ they share; non-zero off-diagonal entries are the candidate overlaps handed
 to the alignment stage.  This module implements exactly that with
 ``scipy.sparse`` CSR matrices, and augments the SpGEMM result with the
 shared k-mer *positions* (from the occurrence index) that the seed-selection
-stage needs.
+stage needs.  scipy is imported inside the SpGEMM functions, so importing
+the package (and the serving path) needs only numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from ..errors import ConfigurationError
 from .kmer import KmerIndex
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["CandidateOverlap", "OverlapMatrix", "build_occurrence_matrix", "find_candidate_overlaps"]
 
@@ -77,6 +81,8 @@ class OverlapMatrix:
 
 def build_occurrence_matrix(index: KmerIndex) -> sparse.csr_matrix:
     """Build the (reads x reliable k-mers) boolean occurrence matrix ``A``."""
+    from scipy import sparse
+
     kmer_ids = {code: column for column, code in enumerate(sorted(index.occurrences))}
     rows: list[int] = []
     cols: list[int] = []
@@ -111,6 +117,7 @@ def find_candidate_overlaps(
     """
     if min_shared_kmers < 1:
         raise ConfigurationError("min_shared_kmers must be at least 1")
+    from scipy import sparse
 
     occurrence = build_occurrence_matrix(index)
     candidate_matrix = (occurrence @ occurrence.T).tocsr()

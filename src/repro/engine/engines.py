@@ -19,8 +19,15 @@ name            implementation                                         exact
                 (:func:`repro.core.wavefront.wavefront_extend_batch`)  yes*
 ``seqan``       SeqAn-like CPU batch runner + POWER9 platform model    yes
 ``ksw2``        ksw2-style affine Z-drop runner + Skylake model        no
-``logan``       LOGAN batch aligner + V100 multi-GPU execution model   yes
+``logan``       the ``batched`` kernel's one traced sweep, annotated
+                with the V100 multi-GPU cost model
+                (:class:`repro.logan.LoganAligner`)                     yes
 ==============  =====================================================  ======
+
+``batched``, ``compiled``, ``wavefront`` and ``logan`` share one batch
+path, :func:`repro.logan.kernel.extend_seed_batch`: seed split, one
+pair-kernel call over every non-empty side, and the left + seed + right
+join.  They differ only in the pair kernel.
 
 "exact" engines return scores, end positions and work accounting identical
 to :func:`repro.core.xdrop.xdrop_extend_reference` on every job; the parity
@@ -35,6 +42,7 @@ that cannot use an option accept and ignore it (documented per class).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from ..baselines.ksw2_batch import Ksw2BatchAligner
@@ -45,14 +53,14 @@ from ..core.scoring import AffineScoringScheme, ScoringScheme
 from ..core.seed_extend import extend_seed
 from ..core.wavefront import ensure_unit_scoring, wavefront_extend_batch
 from ..core.xdrop import xdrop_extend_reference
+from ..core.xdrop_batch import BatchKernelStats
 from ..core.xdrop_compiled import (
     HAVE_NUMBA,
     NUMBA_IMPORT_ERROR,
     xdrop_extend_compiled,
 )
 from ..core.xdrop_vectorized import xdrop_extend
-from ..logan.host import prepare_batch
-from ..logan.kernel import empty_extension, execute_tasks_batched
+from ..logan.kernel import extend_pairs_batched, extend_seed_batch
 from ..obs.runtime import (
     LIVE_FRACTION_BUCKETS,
     emit_kernel_batch,
@@ -219,11 +227,11 @@ class VectorizedEngine(_PerJobEngine):
 class BatchedEngine(_EngineBase):
     """Inter-sequence batched engine: one fused sweep over the whole batch.
 
-    Jobs are split at their seeds by the LOGAN host preprocessing, and all
-    resulting left- and right-extensions are swept together by
-    :func:`repro.logan.kernel.execute_tasks_batched` — every extension is
-    one row of the batch kernel, mirroring LOGAN's one-block-per-extension
-    GPU layout.  With ``workers > 1`` the sweep is chunked across worker
+    Runs :func:`repro.logan.kernel.extend_seed_batch` with the batched
+    pair kernel (:func:`repro.logan.kernel.extend_pairs_batched`): all
+    left- and right-extensions are swept together, every extension one row
+    of the batch kernel, mirroring LOGAN's one-block-per-extension GPU
+    layout.  With ``workers > 1`` the sweep is chunked across worker
     processes (scores and traces are unaffected).
 
     ``compact_threshold`` and ``tile_width`` tune the kernel's active-row
@@ -256,46 +264,21 @@ class BatchedEngine(_EngineBase):
         scoring: ScoringScheme | None = None,
         xdrop: int | None = None,
     ) -> EngineBatchResult:
-        from ..core.xdrop_batch import BatchKernelStats
-
         scoring, xdrop = self._resolve(scoring, xdrop)
         stats = BatchKernelStats() if self.workers == 1 else None
+        pair_kernel = partial(
+            extend_pairs_batched,
+            workers=self.workers,
+            trace=self.trace,
+            compact_threshold=self.compact_threshold,
+            tile_width=self.tile_width,
+            stats=stats,
+        )
         timer = Timer()
         with timer:
-            prepared = prepare_batch(jobs, scoring)
-            tasks = prepared.left_tasks + prepared.right_tasks
-            extensions = execute_tasks_batched(
-                tasks,
-                scoring,
-                xdrop,
-                workers=self.workers,
-                trace=self.trace,
-                compact_threshold=self.compact_threshold,
-                tile_width=self.tile_width,
-                stats=stats,
+            results = extend_seed_batch(
+                jobs, scoring, xdrop, pair_kernel, trace=self.trace
             )
-            sides: dict[tuple[int, str], ExtensionResult] = {
-                (task.job_index, task.direction): ext
-                for task, ext in zip(tasks, extensions)
-            }
-            results = []
-            for index, job in enumerate(jobs):
-                left = sides[(index, "left")]
-                right = sides[(index, "right")]
-                anchor = prepared.seed_scores[index]
-                seed = job.seed
-                results.append(
-                    SeedAlignmentResult(
-                        score=int(left.best_score + right.best_score + anchor),
-                        left=left,
-                        right=right,
-                        seed_score=anchor,
-                        query_begin=seed.query_pos - left.query_end,
-                        query_end=seed.query_end + right.query_end,
-                        target_begin=seed.target_pos - left.target_end,
-                        target_end=seed.target_end + right.target_end,
-                    )
-                )
         return EngineBatchResult(
             engine=self.name,
             results=results,
@@ -308,11 +291,10 @@ class BatchedEngine(_EngineBase):
 class _PairKernelEngine(_EngineBase):
     """Engines that run one batch-kernel call over the prepared extensions.
 
-    Jobs are split at their seeds exactly like :class:`BatchedEngine`;
-    zero-length sides never reach the kernel (the shared batch-runner
-    contract) and are reinserted as zero-score extensions in task order.
-    Subclasses provide :meth:`_extend_pairs` mapping the live
-    ``(query, target)`` pairs to per-pair :class:`ExtensionResult`\\ s.
+    The batch goes through :func:`repro.logan.kernel.extend_seed_batch`,
+    exactly like :class:`BatchedEngine`; subclasses provide
+    :meth:`_extend_pairs` mapping the live ``(query, target)`` pairs to
+    per-pair :class:`ExtensionResult`\\ s.
     """
 
     def _extend_pairs(self, pairs, scoring, xdrop) -> list[ExtensionResult]:
@@ -327,39 +309,9 @@ class _PairKernelEngine(_EngineBase):
         scoring, xdrop = self._resolve(scoring, xdrop)
         timer = Timer()
         with timer:
-            prepared = prepare_batch(jobs, scoring)
-            tasks = prepared.left_tasks + prepared.right_tasks
-            live = [task for task in tasks if not task.is_empty]
-            pairs = [(task.query, task.target) for task in live]
-            live_results = iter(
-                self._extend_pairs(pairs, scoring, xdrop) if pairs else []
+            results = extend_seed_batch(
+                jobs, scoring, xdrop, self._extend_pairs, trace=self.trace
             )
-            sides: dict[tuple[int, str], ExtensionResult] = {}
-            for task in tasks:
-                ext = (
-                    empty_extension(self.trace)
-                    if task.is_empty
-                    else next(live_results)
-                )
-                sides[(task.job_index, task.direction)] = ext
-            results = []
-            for index, job in enumerate(jobs):
-                left = sides[(index, "left")]
-                right = sides[(index, "right")]
-                anchor = prepared.seed_scores[index]
-                seed = job.seed
-                results.append(
-                    SeedAlignmentResult(
-                        score=int(left.best_score + right.best_score + anchor),
-                        left=left,
-                        right=right,
-                        seed_score=anchor,
-                        query_begin=seed.query_pos - left.query_end,
-                        query_end=seed.query_end + right.query_end,
-                        target_begin=seed.target_pos - left.target_end,
-                        target_end=seed.target_end + right.target_end,
-                    )
-                )
         return EngineBatchResult(
             engine=self.name,
             results=results,
@@ -559,8 +511,11 @@ class Ksw2Engine(_EngineBase):
 class LoganEngine(_EngineBase):
     """LOGAN batch aligner with the modeled V100 multi-GPU runtime.
 
-    ``trace`` is accepted for signature uniformity; LOGAN always traces
-    (the GPU execution model replays the band traces).
+    Runs one traced batched sweep (the ``batched`` engine's kernel) and
+    annotates it with the multi-GPU cost model; see
+    :class:`repro.logan.LoganAligner`.  ``trace`` is accepted for signature
+    uniformity; LOGAN always traces (the GPU execution model replays the
+    band traces).
     """
 
     name = "logan"
@@ -574,7 +529,6 @@ class LoganEngine(_EngineBase):
         system=None,
         gpus: int | None = None,
         threads_per_block: int | None = None,
-        execution: str = "batched",
     ) -> None:
         super().__init__(scoring=scoring, xdrop=xdrop, workers=workers, trace=trace)
         from ..gpusim.multi_gpu import MultiGpuSystem
@@ -588,7 +542,6 @@ class LoganEngine(_EngineBase):
             xdrop=self.xdrop,
             threads_per_block=threads_per_block,
             workers=self.workers,
-            engine=execution,
         )
 
     def _align_batch(
@@ -608,7 +561,6 @@ class LoganEngine(_EngineBase):
                 xdrop=xdrop,
                 threads_per_block=aligner._explicit_threads,
                 workers=aligner.workers,
-                engine=aligner.engine,
             )
         batch = aligner.align_batch(jobs)
         return EngineBatchResult(

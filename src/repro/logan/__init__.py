@@ -7,6 +7,8 @@ Public surface:
 * :class:`repro.logan.LoadBalancer` — the multi-GPU work splitter;
 * :func:`repro.logan.threads_for_xdrop` — the X-proportional thread
   scheduling rule;
+* :func:`repro.logan.extend_seed_batch` — the one batch seed-extension
+  path (one pair-kernel call per batch) shared by the batch engines;
 * the host preprocessing helpers (:func:`prepare_batch`, :class:`HostModel`).
 """
 
@@ -18,7 +20,7 @@ from .host import (
     prepare_batch,
     threads_for_xdrop,
 )
-from .kernel import StreamExecution, run_extension_stream
+from .kernel import extend_seed_batch
 from .scheduler import DeviceAssignment, LoadBalancer
 
 __all__ = [
@@ -31,6 +33,5 @@ __all__ = [
     "ExtensionTask",
     "prepare_batch",
     "threads_for_xdrop",
-    "StreamExecution",
-    "run_extension_stream",
+    "extend_seed_batch",
 ]

@@ -1,27 +1,31 @@
 """LOGAN batch aligner: the library's main public entry point.
 
-``LoganAligner`` reproduces the full LOGAN execution flow for a batch of
-seed alignments:
+``LoganAligner`` reproduces the LOGAN execution flow for a batch of seed
+alignments as an exact kernel run plus a cost model:
 
-1. host preprocessing — seed split, left-pair reversal, buffer packing
-   (:mod:`repro.logan.host`);
+1. functional execution — host preprocessing (seed split, left-pair
+   reversal) and one traced batched X-drop sweep over every extension of
+   the batch (:func:`repro.logan.kernel.extend_seed_batch`), giving per-job
+   seed alignment scores identical to the SeqAn-style reference;
 2. multi-GPU load balancing — jobs are divided across devices by estimated
    work (:mod:`repro.logan.scheduler`);
-3. per-device execution — one GPU block per extension, two streams (left and
-   right extensions), threads per block scheduled proportionally to X
-   (:mod:`repro.logan.kernel` for the functional work,
-   :mod:`repro.gpusim` for the modeled V100 timing);
-4. result collection — per-job seed alignment scores identical to the
-   SeqAn-style reference.
+3. per-device modeling — one GPU block per extension, two streams (left and
+   right extensions), threads per block scheduled proportionally to X; the
+   band traces of step 1 are replayed by :mod:`repro.gpusim` for the
+   modeled V100 timing.
 
-Every run returns both the *measured* wall-clock of the Python execution and
-the *modeled* wall-clock on the paper's V100 platform, plus the breakdown
-(host, per-device, load-balancer overhead) needed by the benchmarks.
+Scores never depend on the device count (the paper's "equivalent
+accuracy"), so the kernel runs once whatever the GPU count; only the model
+splits the work.  Every run returns both the *measured* wall-clock of the
+Python sweep and the *modeled* wall-clock on the paper's V100 platform,
+plus the breakdown (host, per-device, load-balancer overhead) needed by the
+benchmarks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from ..core.job import AlignmentJob, BatchWorkSummary, summarize_results
@@ -32,10 +36,11 @@ from ..gpusim.device import DeviceSpec
 from ..gpusim.kernel import KernelExecutionModel, KernelTiming
 from ..gpusim.multi_gpu import MultiGpuSystem, MultiGpuTiming
 from ..gpusim.stream import StreamedTiming, compose_streams
+from ..gpusim.trace import BlockWorkTrace, KernelWorkload
 from ..gpusim.warp import KernelCostParameters
 from ..perf.timers import Timer
-from .host import HostModel, PreparedBatch, prepare_batch, threads_for_xdrop
-from .kernel import run_extension_stream
+from .host import HostModel, threads_for_xdrop
+from .kernel import extend_pairs_batched, extend_seed_batch
 from .scheduler import DeviceAssignment, LoadBalancer
 
 __all__ = ["LoganBatchResult", "LoganAligner"]
@@ -52,7 +57,8 @@ class LoganBatchResult:
     summary:
         Aggregate work accounting (cells, extensions, iterations).
     elapsed_seconds:
-        Measured wall-clock of the Python run.
+        Measured wall-clock of the Python kernel sweep (``0.0`` for a
+        re-modeled batch).
     host_seconds:
         Modeled host preprocessing time on the paper's platform.
     multi_gpu:
@@ -120,22 +126,18 @@ class LoganAligner:
         Threads scheduled per block; ``None`` (default) picks the
         X-proportional count the paper describes.
     workers:
-        Local worker processes for the functional execution.
+        Local worker processes for the functional execution (the batched
+        sweep is chunked across them; scores and traces are unaffected).
     host_model:
         Host preprocessing cost model.
     kernel_params:
         Instruction-cost constants of the GPU model (exposed for ablations).
     balancer_policy:
         ``"cells"`` (default) or ``"count"`` — see :class:`LoadBalancer`.
-    engine:
-        Functional execution strategy for the extension streams:
-        ``"batched"`` (default — the inter-sequence batch kernel, every
-        extension one row of a single fused sweep, mirroring the GPU
-        layout), ``"vectorized"`` (one per-pair kernel call per extension),
-        or a custom callable (see
-        :func:`repro.logan.kernel.run_extension_stream`).  The choice never
-        affects scores, traces or the modeled runtimes — only the measured
-        Python wall-clock.
+
+    The functional work is always one traced batched sweep over every
+    extension of the batch; the system, thread schedule, cost parameters
+    and balancer policy shape only the modeled runtimes.
     """
 
     def __init__(
@@ -148,17 +150,9 @@ class LoganAligner:
         host_model: HostModel = HostModel(),
         kernel_params: KernelCostParameters | None = None,
         balancer_policy: str = "cells",
-        engine: str = "batched",
     ) -> None:
         if xdrop < 0:
             raise ConfigurationError("xdrop must be non-negative")
-        from .kernel import EXTENSION_EXECUTORS
-
-        if not callable(engine) and engine not in EXTENSION_EXECUTORS:
-            raise ConfigurationError(
-                f"unknown extension engine {engine!r}; "
-                f"available: {sorted(EXTENSION_EXECUTORS)}"
-            )
         self.system = system or MultiGpuSystem.homogeneous(1)
         self.scoring = scoring if scoring is not None else ScoringScheme()
         self.xdrop = int(xdrop)
@@ -166,7 +160,6 @@ class LoganAligner:
         self.host_model = host_model
         self.kernel_params = kernel_params or KernelCostParameters()
         self.balancer_policy = balancer_policy
-        self.engine = engine
         self._explicit_threads = threads_per_block
         self._models = [
             KernelExecutionModel(device, params=self.kernel_params)
@@ -179,9 +172,8 @@ class LoganAligner:
 
         ``engine_options`` may carry the LOGAN-specific knobs: ``gpus``
         (shorthand for a homogeneous system), ``system``,
-        ``threads_per_block``, ``balancer_policy``, ``host_model``,
-        ``kernel_params`` and ``execution`` (the functional execution
-        strategy, mapped to the ``engine`` kwarg).  Unknown or shadowing
+        ``threads_per_block``, ``balancer_policy``, ``host_model`` and
+        ``kernel_params``.  Unknown or shadowing
         options raise a :class:`ConfigurationError` naming the option, the
         same contract as :func:`repro.engine.base.engine_from_config`.
         """
@@ -200,7 +192,7 @@ class LoganAligner:
             name
             for name in inspect.signature(cls.__init__).parameters
             if name != "self"
-        } | {"gpus", "execution"}
+        } | {"gpus"}
         unknown = sorted(set(options) - accepted)
         if unknown:
             raise ConfigurationError(
@@ -211,8 +203,6 @@ class LoganAligner:
         gpus = options.pop("gpus", None)
         if system is None and gpus is not None:
             system = MultiGpuSystem.homogeneous(int(gpus))
-        if "execution" in options:
-            options["engine"] = options.pop("execution")
         return cls(
             system=system,
             scoring=config.scoring,
@@ -254,6 +244,10 @@ class LoganAligner:
     ) -> LoganBatchResult:
         """Align a batch of jobs and model its execution on the GPU system.
 
+        The jobs are aligned by one traced batched sweep (timed as
+        ``elapsed_seconds``), then modeled exactly like
+        :meth:`model_existing`.
+
         Parameters
         ----------
         jobs:
@@ -268,82 +262,14 @@ class LoganAligner:
             raise ConfigurationError("align_batch requires at least one job")
         if replication <= 0:
             raise ConfigurationError("replication must be positive")
-
+        pair_kernel = partial(extend_pairs_batched, workers=self.workers, trace=True)
         timer = Timer()
-        balancer = LoadBalancer(
-            num_devices=self.system.num_devices,
-            policy=self.balancer_policy,
-            xdrop=self.xdrop,
-            gap_penalty=abs(self.scoring.gap),
-        )
-
         with timer:
-            prepared = prepare_batch(jobs, self.scoring)
-            assignments = balancer.split(jobs)
+            results = extend_seed_batch(
+                jobs, self.scoring, self.xdrop, pair_kernel, trace=True
+            )
+        return self._model(jobs, results, replication, timer.elapsed)
 
-            per_device_streams: list[StreamedTiming | None] = []
-            kernel_timings: list[tuple[KernelTiming, ...]] = []
-            left_results: dict[int, object] = {}
-            right_results: dict[int, object] = {}
-
-            for assignment, model, device in zip(
-                assignments, self._models, self.system.devices
-            ):
-                if assignment.num_jobs == 0:
-                    per_device_streams.append(None)
-                    kernel_timings.append(tuple())
-                    continue
-                threads = self.threads_per_block_for(device)
-                device_timings: list[KernelTiming] = []
-                for direction, task_list, sink in (
-                    ("left", prepared.left_tasks, left_results),
-                    ("right", prepared.right_tasks, right_results),
-                ):
-                    tasks = [task_list[i] for i in assignment.job_indices]
-                    execution = run_extension_stream(
-                        tasks,
-                        scoring=self.scoring,
-                        xdrop=self.xdrop,
-                        replication=replication,
-                        workers=self.workers,
-                        engine=self.engine,
-                    )
-                    for task, result in zip(tasks, execution.results, strict=True):
-                        sink[task.job_index] = result
-                    if execution.workload.sampled_blocks > 0:
-                        device_timings.append(
-                            model.execute(execution.workload, threads_per_block=threads)
-                        )
-                if device_timings:
-                    per_device_streams.append(compose_streams(device_timings))
-                else:
-                    per_device_streams.append(None)
-                kernel_timings.append(tuple(device_timings))
-
-        multi = self._combine_streams(per_device_streams)
-        host_seconds = self.host_model.seconds(
-            total_bases=int(round(prepared.total_bases * replication)),
-            alignments=int(round(len(jobs) * replication)),
-        )
-
-        results = self._assemble_results(jobs, prepared, left_results, right_results)
-        summary = summarize_results(results)
-        threads_used = self.threads_per_block_for(self.system.devices[0])
-
-        return LoganBatchResult(
-            results=results,
-            summary=summary,
-            elapsed_seconds=timer.elapsed,
-            host_seconds=host_seconds,
-            multi_gpu=multi,
-            per_device=[t for t in per_device_streams if t is not None],
-            assignments=assignments,
-            kernel_timings=kernel_timings,
-            threads_per_block=threads_used,
-            replication=float(replication),
-        )
-
-    # ------------------------------------------------------------------ #
     def model_existing(
         self,
         jobs: Sequence[AlignmentJob],
@@ -354,14 +280,15 @@ class LoganAligner:
 
         The functional output of a LOGAN batch (scores, extents, band
         traces) is independent of the GPU configuration, so a batch aligned
-        once — e.g. with the single-GPU aligner — can be *re-modeled* on a
-        different system (6 GPUs, different thread schedule, ablated cost
-        parameters) without re-running the X-drop kernels.  The benchmark
-        harness uses this to sweep GPU counts at the cost of a single
-        alignment pass.
+        once — by any aligner or exact engine run with tracing on — can be
+        *re-modeled* on a different system (6 GPUs, different thread
+        schedule, ablated cost parameters) without re-running the X-drop
+        kernels.  The benchmark harness uses this to sweep GPU counts at the
+        cost of a single alignment pass.
 
-        ``results`` must come from a run with tracing enabled (every LOGAN
-        ``align_batch`` run traces), in the same order as ``jobs``.
+        ``results`` must be in the same order as ``jobs`` and carry a band
+        trace on every non-empty side; an untraced side raises
+        :class:`ConfigurationError` rather than modeling zero GPU time.
         """
         if len(jobs) != len(results):
             raise ConfigurationError("jobs and results must have the same length")
@@ -369,9 +296,16 @@ class LoganAligner:
             raise ConfigurationError("model_existing requires at least one job")
         if replication <= 0:
             raise ConfigurationError("replication must be positive")
+        return self._model(jobs, results, replication, 0.0)
 
-        from ..gpusim.trace import BlockWorkTrace, KernelWorkload
-
+    def _model(
+        self,
+        jobs: Sequence[AlignmentJob],
+        results: Sequence[SeedAlignmentResult],
+        replication: float,
+        elapsed_seconds: float,
+    ) -> LoganBatchResult:
+        """Replay the results' band traces on every device of the system."""
         balancer = LoadBalancer(
             num_devices=self.system.num_devices,
             policy=self.balancer_policy,
@@ -382,8 +316,6 @@ class LoganAligner:
 
         per_device_streams: list[StreamedTiming | None] = []
         kernel_timings: list[tuple[KernelTiming, ...]] = []
-        total_bases = sum(j.query_length + j.target_length for j in jobs)
-
         for assignment, model, device in zip(
             assignments, self._models, self.system.devices
         ):
@@ -397,14 +329,19 @@ class LoganAligner:
                 workload = KernelWorkload(replication=replication)
                 for index in assignment.job_indices:
                     job = jobs[index]
-                    ext = getattr(results[index], side)
-                    if ext.band_widths is None or ext.cells_computed <= 1:
-                        continue
                     if side == "left":
                         qlen, tlen = job.seed.query_pos, job.seed.target_pos
                     else:
                         qlen = job.query_length - job.seed.query_end
                         tlen = job.target_length - job.seed.target_end
+                    if qlen == 0 or tlen == 0:
+                        continue  # seed flush: no extension, no GPU block
+                    ext = getattr(results[index], side)
+                    if ext.band_widths is None:
+                        raise ConfigurationError(
+                            f"job {index}: the {side} extension has no band "
+                            "trace; model results aligned with trace=True"
+                        )
                     workload.add(BlockWorkTrace(ext.band_widths, qlen, tlen))
                 if workload.sampled_blocks > 0:
                     device_timings.append(
@@ -416,49 +353,20 @@ class LoganAligner:
                 per_device_streams.append(None)
             kernel_timings.append(tuple(device_timings))
 
-        multi = self._combine_streams(per_device_streams)
+        total_bases = sum(j.query_length + j.target_length for j in jobs)
         host_seconds = self.host_model.seconds(
             total_bases=int(round(total_bases * replication)),
             alignments=int(round(len(jobs) * replication)),
         )
-        summary = summarize_results(results)
         return LoganBatchResult(
             results=list(results),
-            summary=summary,
-            elapsed_seconds=0.0,
+            summary=summarize_results(results),
+            elapsed_seconds=elapsed_seconds,
             host_seconds=host_seconds,
-            multi_gpu=multi,
+            multi_gpu=self._combine_streams(per_device_streams),
             per_device=[t for t in per_device_streams if t is not None],
             assignments=assignments,
             kernel_timings=kernel_timings,
             threads_per_block=self.threads_per_block_for(self.system.devices[0]),
             replication=float(replication),
         )
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _assemble_results(
-        jobs: Sequence[AlignmentJob],
-        prepared: PreparedBatch,
-        left_results: dict,
-        right_results: dict,
-    ) -> list[SeedAlignmentResult]:
-        results: list[SeedAlignmentResult] = []
-        for index, job in enumerate(jobs):
-            left = left_results[index]
-            right = right_results[index]
-            anchor = prepared.seed_scores[index]
-            seed = job.seed
-            results.append(
-                SeedAlignmentResult(
-                    score=int(left.best_score + right.best_score + anchor),
-                    left=left,
-                    right=right,
-                    seed_score=anchor,
-                    query_begin=seed.query_pos - left.query_end,
-                    query_end=seed.query_end + right.query_end,
-                    target_begin=seed.target_pos - left.target_end,
-                    target_end=seed.target_end + right.target_end,
-                )
-            )
-        return results

@@ -1,11 +1,18 @@
-"""Functional LOGAN kernel: one GPU block per extension, traced.
+"""Functional LOGAN kernel: one batched sweep over every extension of a batch.
 
 The CUDA kernel of the paper assigns each extension to a GPU block and
-computes its anti-diagonals with Algorithm 2.  In this reproduction the same
-work is performed by the vectorised NumPy X-drop kernel
-(:func:`repro.core.xdrop_vectorized.xdrop_extend`), and every extension
-additionally records its anti-diagonal width trace, which is what the GPU
-execution model replays to estimate V100 time.
+computes its anti-diagonals with Algorithm 2.  In this reproduction every
+extension is one row of the inter-sequence batched X-drop kernel
+(:func:`repro.core.xdrop_batch.xdrop_extend_batch`), mirroring LOGAN's
+one-block-per-extension layout; with tracing on, each row records the
+anti-diagonal width trace the GPU execution model replays to estimate V100
+time.
+
+:func:`extend_seed_batch` is the library's single batch seed-extension
+path: host preprocessing, one pair-kernel call over the non-empty sides,
+zero-score placeholders for seed-flush sides, and the left + seed + right
+join.  The ``batched``, ``compiled``, ``wavefront`` and ``logan`` engines
+all run through it, each with its own pair kernel.
 
 The kernel is *functionally exact*: the scores and end positions it returns
 are the library's single source of truth and are identical to the scalar
@@ -15,44 +22,27 @@ SeqAn-style reference (tests enforce this), which reproduces the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core.result import ExtensionResult
+from ..core.job import AlignmentJob
+from ..core.result import ExtensionResult, SeedAlignmentResult
 from ..core.scoring import ScoringScheme
 from ..core.xdrop_batch import BatchKernelStats, xdrop_extend_batch
-from ..core.xdrop_vectorized import xdrop_extend
-from ..errors import ConfigurationError
-from ..gpusim.trace import BlockWorkTrace, KernelWorkload
 from ..perf.parallel import chunk_evenly, parallel_map
-from .host import ExtensionTask
+from .host import prepare_batch
 
 __all__ = [
-    "StreamExecution",
-    "run_extension_stream",
-    "execute_tasks_batched",
     "empty_extension",
-    "EXTENSION_EXECUTORS",
+    "extend_pairs_batched",
+    "extend_seed_batch",
 ]
 
-
-@dataclass
-class StreamExecution:
-    """Functional output of one GPU stream (a list of extensions).
-
-    Attributes
-    ----------
-    results:
-        Per-task extension results (same order as the input tasks).
-    workload:
-        The traced workload for the GPU execution model.  Empty tasks (seed
-        flush against a sequence end) contribute no block.
-    """
-
-    results: list[ExtensionResult]
-    workload: KernelWorkload
+#: ``(pairs, scoring, xdrop) -> one ExtensionResult per pair, in order``.
+PairKernel = Callable[
+    [list[tuple[np.ndarray, np.ndarray]], ScoringScheme, int], list[ExtensionResult]
+]
 
 
 def empty_extension(trace: bool = True) -> ExtensionResult:
@@ -66,22 +56,6 @@ def empty_extension(trace: bool = True) -> ExtensionResult:
         terminated_early=False,
         band_widths=np.asarray([1], dtype=np.int64) if trace else None,
     )
-
-
-def _run_task(
-    task: ExtensionTask, scoring: ScoringScheme, xdrop: int
-) -> ExtensionResult:
-    """Worker: execute one extension with tracing enabled (picklable)."""
-    if task.is_empty:
-        return empty_extension()
-    return xdrop_extend(task.query, task.target, scoring=scoring, xdrop=xdrop, trace=True)
-
-
-def _execute_vectorized(
-    tasks: Sequence[ExtensionTask], scoring: ScoringScheme, xdrop: int, workers: int
-) -> list[ExtensionResult]:
-    """Per-task execution: one vectorised kernel call per extension."""
-    return parallel_map(_run_task, list(tasks), args=(scoring, xdrop), workers=workers)
 
 
 def _run_pair_chunk(
@@ -103,24 +77,22 @@ def _run_pair_chunk(
     )
 
 
-def execute_tasks_batched(
-    tasks: Sequence[ExtensionTask],
+def extend_pairs_batched(
+    pairs: list[tuple[np.ndarray, np.ndarray]],
     scoring: ScoringScheme,
     xdrop: int,
+    *,
     workers: int = 1,
     trace: bool = True,
     compact_threshold: float | None = None,
     tile_width: int | None = None,
     stats: BatchKernelStats | None = None,
 ) -> list[ExtensionResult]:
-    """Inter-sequence execution: every extension is one row of a batched
-    anti-diagonal sweep (LOGAN's one-block-per-extension layout).
+    """The batched pair kernel: every pair is one row of one sweep.
 
-    With ``workers > 1`` the live tasks are split into contiguous chunks and
+    With ``workers > 1`` the pairs are split into contiguous chunks and
     each chunk is swept by one worker process — chunking never changes
-    scores or traces, only the measured wall-clock.  Seed-flush tasks (an
-    empty side) never reach the kernel; they yield a zero-score extension,
-    the shared contract of every batch runner.
+    scores or traces, only the measured wall-clock.
 
     ``compact_threshold`` / ``tile_width`` tune the kernel's active-row
     compaction and column tiling (results are invariant to them), and
@@ -129,8 +101,6 @@ def execute_tasks_batched(
     only gathered on the in-process path; chunked multi-worker sweeps run in
     subprocesses, which cannot update the caller's accumulator.
     """
-    live = [task for task in tasks if not task.is_empty]
-    pairs = [(task.query, task.target) for task in live]
     if workers > 1 and len(pairs) > 1:
         chunks = chunk_evenly(pairs, min(workers, len(pairs)))
         chunk_results = parallel_map(
@@ -140,89 +110,73 @@ def execute_tasks_batched(
             workers=workers,
             min_items_per_worker=1,
         )
-        extensions = iter([ext for chunk in chunk_results for ext in chunk])
-    else:
-        extensions = iter(
-            xdrop_extend_batch(
-                pairs,
-                scoring=scoring,
-                xdrop=xdrop,
-                trace=trace,
-                compact_threshold=compact_threshold,
-                tile_width=tile_width,
-                stats=stats,
-            )
-        )
-    return [
-        empty_extension(trace) if task.is_empty else next(extensions)
-        for task in tasks
-    ]
+        return [ext for chunk in chunk_results for ext in chunk]
+    return xdrop_extend_batch(
+        pairs,
+        scoring=scoring,
+        xdrop=xdrop,
+        trace=trace,
+        compact_threshold=compact_threshold,
+        tile_width=tile_width,
+        stats=stats,
+    )
 
 
-def _execute_batched(
-    tasks: Sequence[ExtensionTask], scoring: ScoringScheme, xdrop: int, workers: int
-) -> list[ExtensionResult]:
-    """Stream executor wrapper: batched execution with tracing on."""
-    return execute_tasks_batched(tasks, scoring, xdrop, workers=workers, trace=True)
-
-
-#: Named functional-execution strategies for a stream of extension tasks.
-EXTENSION_EXECUTORS: dict[str, Callable[..., list[ExtensionResult]]] = {
-    "vectorized": _execute_vectorized,
-    "batched": _execute_batched,
-}
-
-
-def run_extension_stream(
-    tasks: Sequence[ExtensionTask],
+def extend_seed_batch(
+    jobs: Sequence[AlignmentJob],
     scoring: ScoringScheme,
     xdrop: int,
-    replication: float = 1.0,
-    workers: int = 1,
-    engine: str | Callable[..., list[ExtensionResult]] = "batched",
-) -> StreamExecution:
-    """Execute one stream of extensions and collect the traced workload.
+    pair_kernel: PairKernel,
+    *,
+    trace: bool,
+) -> list[SeedAlignmentResult]:
+    """Seed-and-extend every job of a batch with one pair-kernel call.
 
-    Parameters
-    ----------
-    tasks:
-        The stream's extension tasks (all left-extensions or all
-        right-extensions of a prepared batch).
-    scoring, xdrop:
-        Alignment parameters.
-    replication:
-        How many real extensions each task stands for when the batch is a
-        scaled-down sample of the paper's workload.
-    workers:
-        Local worker processes used to execute the extensions (affects only
-        the measured wall-clock, never the scores or the traces).
-    engine:
-        Functional execution strategy: ``"batched"`` (default — the
-        inter-sequence batch kernel), ``"vectorized"`` (one kernel call per
-        extension), or a callable ``(tasks, scoring, xdrop, workers) ->
-        list[ExtensionResult]``.  Scores and traces are identical for every
-        strategy; only the measured Python wall-clock differs.
+    Jobs are split at their seeds by :func:`repro.logan.host.prepare_batch`
+    (left sides reversed).  Every non-empty side — left and right alike —
+    goes to a single ``pair_kernel(pairs, scoring, xdrop)`` call; seed-flush
+    sides (an empty sequence) never reach the kernel and get
+    :func:`empty_extension` instead, the shared contract of every batch
+    runner.  ``trace`` only shapes those placeholders; the pair kernel
+    decides its own tracing.
+
+    Raises
+    ------
+    ValueError
+        When the kernel returns a different number of results than it was
+        given pairs.
     """
-    if callable(engine):
-        executor = engine
-    else:
-        executor = EXTENSION_EXECUTORS.get(str(engine))
-        if executor is None:
-            raise ConfigurationError(
-                f"unknown extension engine {engine!r}; "
-                f"available: {sorted(EXTENSION_EXECUTORS)}"
+    prepared = prepare_batch(jobs, scoring)
+    tasks = prepared.left_tasks + prepared.right_tasks
+    sides: list[ExtensionResult | None] = [
+        empty_extension(trace) if task.is_empty else None for task in tasks
+    ]
+    live = [index for index, side in enumerate(sides) if side is None]
+    if live:
+        pairs = [(tasks[i].query, tasks[i].target) for i in live]
+        extensions = pair_kernel(pairs, scoring, xdrop)
+        if len(extensions) != len(live):
+            raise ValueError(
+                f"pair kernel returned {len(extensions)} results for "
+                f"{len(live)} extensions"
             )
-    tasks = list(tasks)
-    results = executor(tasks, scoring, xdrop, workers)
-    workload = KernelWorkload(replication=replication)
-    for task, result in zip(tasks, results, strict=True):
-        if task.is_empty:
-            continue
-        workload.add(
-            BlockWorkTrace.from_extension(
-                result,
-                query_length=len(task.query),
-                target_length=len(task.target),
+        for index, ext in zip(live, extensions):
+            sides[index] = ext
+    results = []
+    for job, left, right, anchor in zip(
+        jobs, sides[: len(jobs)], sides[len(jobs) :], prepared.seed_scores, strict=True
+    ):
+        seed = job.seed
+        results.append(
+            SeedAlignmentResult(
+                score=int(left.best_score + right.best_score + anchor),
+                left=left,
+                right=right,
+                seed_score=anchor,
+                query_begin=seed.query_pos - left.query_end,
+                query_end=seed.query_end + right.query_end,
+                target_begin=seed.target_pos - left.target_end,
+                target_end=seed.target_end + right.target_end,
             )
         )
-    return StreamExecution(results=list(results), workload=workload)
+    return results

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import AlignConfig
 from repro.bella import BellaPipeline
 from repro.core import ScoringScheme, Seed, extend_seed
 from repro.core.job import AlignmentJob
@@ -18,6 +19,7 @@ from repro.core.xdrop import xdrop_extend_reference
 from repro.data import PairSetSpec, generate_pair_set
 from repro.engine import (
     EngineBatchResult,
+    engine_from_config,
     get_engine,
     list_engines,
     register_engine,
@@ -186,20 +188,15 @@ class TestEngineParity:
 
 
 class TestConsumersRouteThroughEngines:
-    def test_logan_aligner_batched_matches_vectorized(self):
-        jobs = job_batch(8, num_pairs=5)
-        batched = LoganAligner(xdrop=20, engine="batched").align_batch(jobs)
-        vectorized = LoganAligner(xdrop=20, engine="vectorized").align_batch(jobs)
-        assert batched.scores() == vectorized.scores()
-        for a, b in zip(batched.results, vectorized.results):
-            assert np.array_equal(a.left.band_widths, b.left.band_widths)
-            assert np.array_equal(a.right.band_widths, b.right.band_widths)
-        # Identical traces => identical modeled GPU time.
-        assert batched.modeled_seconds == pytest.approx(vectorized.modeled_seconds)
-
-    def test_logan_aligner_rejects_unknown_engine(self):
-        with pytest.raises(ConfigurationError, match="unknown extension engine"):
-            LoganAligner(engine="warp-drive")
+    def test_logan_rejects_the_removed_execution_option(self):
+        # LOGAN always runs the one batched sweep; there is no strategy knob.
+        config = AlignConfig(engine="logan", engine_options={"execution": "batched"})
+        with pytest.raises(ConfigurationError, match="'execution' not accepted"):
+            engine_from_config(config)
+        with pytest.raises(ConfigurationError, match="'execution' not accepted"):
+            LoganAligner.from_config(config)
+        with pytest.raises(TypeError):
+            LoganAligner(engine="batched")
 
     def test_bella_pipeline_accepts_engine_name(self, make_rng):
         reads = self._overlapping_reads(make_rng)

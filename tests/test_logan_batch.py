@@ -2,30 +2,47 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines import SeqAnBatchAligner
+from repro.engine import get_engine
 from repro.errors import ConfigurationError
 from repro.gpusim import MultiGpuSystem
-from repro.logan import LoganAligner, run_extension_stream, prepare_batch
-from repro.logan.kernel import StreamExecution
+from repro.logan import LoganAligner, extend_seed_batch
+from repro.logan.kernel import empty_extension, extend_pairs_batched
+from repro.workloads import WorkloadSpec, generate_workload, list_profiles
 
 
-class TestRunExtensionStream:
-    def test_stream_execution(self, small_jobs, scoring):
-        batch = prepare_batch(small_jobs, scoring)
-        execution = run_extension_stream(batch.right_tasks, scoring, xdrop=15)
-        assert isinstance(execution, StreamExecution)
-        assert len(execution.results) == len(small_jobs)
-        assert execution.workload.sampled_blocks <= len(small_jobs)
-        assert execution.workload.total_cells > 0
+class TestExtendSeedBatch:
+    def test_one_kernel_call_over_every_side(self, small_jobs, scoring):
+        calls = []
 
-    def test_empty_tasks_contribute_no_blocks(self, start_seed_jobs, scoring):
-        batch = prepare_batch(start_seed_jobs, scoring)
-        execution = run_extension_stream(batch.left_tasks, scoring, xdrop=15)
+        def kernel(pairs, scoring, xdrop):
+            calls.append(len(pairs))
+            return extend_pairs_batched(pairs, scoring, xdrop, trace=True)
+
+        results = extend_seed_batch(small_jobs, scoring, 15, kernel, trace=True)
+        assert calls == [2 * len(small_jobs)]  # mid-read seeds: no empty side
+        batched = get_engine("batched", scoring=scoring, xdrop=15, trace=True)
+        for ours, theirs in zip(
+            results, batched.align_batch(small_jobs).results, strict=True
+        ):
+            assert repr(ours) == repr(theirs)  # every field, traces included
+
+    def test_empty_sides_never_reach_the_kernel(self, start_seed_jobs, scoring):
+        calls = []
+
+        def kernel(pairs, scoring, xdrop):
+            calls.append(len(pairs))
+            return extend_pairs_batched(pairs, scoring, xdrop, trace=False)
+
+        results = extend_seed_batch(start_seed_jobs, scoring, 15, kernel, trace=False)
         # Seeds at position 0 make every left extension empty.
-        assert execution.workload.sampled_blocks == 0
-        assert all(r.best_score == 0 for r in execution.results)
+        assert calls == [len(start_seed_jobs)]
+        assert all(r.left == empty_extension(trace=False) for r in results)
+        assert all(r.right.best_score > 0 for r in results)
 
 
 class TestLoganAligner:
@@ -58,6 +75,35 @@ class TestLoganAligner:
         result = aligner.align_batch(start_seed_jobs)
         assert all(r.left.best_score == 0 for r in result.results)
         assert all(r.query_begin == 0 for r in result.results)
+
+    @pytest.mark.parametrize("gpus", [1, 3])
+    def test_seed_at_position_zero_contributes_no_gpu_block(
+        self, start_seed_jobs, gpus
+    ):
+        aligner = LoganAligner(system=MultiGpuSystem.homogeneous(gpus), xdrop=20)
+        result = aligner.align_batch(start_seed_jobs)
+        # Every left extension is empty: each busy device launches only its
+        # right-extension kernel, one block per job.
+        busy = [timings for timings in result.kernel_timings if timings]
+        assert busy and all(len(timings) == 1 for timings in busy)
+        assert sum(t[0].blocks for t in busy) == len(start_seed_jobs)
+
+    @pytest.mark.parametrize("gpus", [1, 6])
+    def test_one_kernel_sweep_for_any_gpu_count(self, small_jobs, monkeypatch, gpus):
+        import repro.logan.kernel as kernel
+
+        calls = []
+        real = kernel.xdrop_extend_batch
+
+        def counting(pairs, *args, **kwargs):
+            calls.append(len(pairs))
+            return real(pairs, *args, **kwargs)
+
+        monkeypatch.setattr(kernel, "xdrop_extend_batch", counting)
+        LoganAligner(system=MultiGpuSystem.homogeneous(gpus), xdrop=20).align_batch(
+            small_jobs
+        )
+        assert calls == [2 * len(small_jobs)]
 
     def test_replication_scales_model_not_scores(self, small_jobs):
         aligner = LoganAligner(xdrop=20)
@@ -129,6 +175,21 @@ class TestLoganAligner:
             full1.multi_gpu.per_device_seconds
         )
 
+    def test_model_existing_rejects_untraced_results(self, small_jobs):
+        untraced = get_engine("batched", xdrop=25, trace=False).align_batch(small_jobs)
+        with pytest.raises(ConfigurationError, match="band trace"):
+            LoganAligner(xdrop=25).model_existing(small_jobs, untraced.results)
+
+    def test_model_existing_accepts_untraced_empty_sides(self, start_seed_jobs):
+        # Seed-flush sides launch no block, so they need no trace.
+        aligner = LoganAligner(xdrop=25)
+        full = aligner.align_batch(start_seed_jobs)
+        results = [
+            replace(r, left=empty_extension(trace=False)) for r in full.results
+        ]
+        remodeled = aligner.model_existing(start_seed_jobs, results)
+        assert remodeled.modeled_seconds == full.modeled_seconds
+
     def test_model_existing_validation(self, small_jobs):
         aligner = LoganAligner(xdrop=25)
         full = aligner.align_batch(small_jobs)
@@ -160,3 +221,25 @@ class TestAccuracyEquivalence:
         one = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=30)
         eight = LoganAligner(system=MultiGpuSystem.homogeneous(8), xdrop=30)
         assert one.align_batch(small_jobs).scores() == eight.align_batch(small_jobs).scores()
+
+
+class TestOneSweepModelInvariant:
+    """``align_batch`` is one traced sweep followed by ``model_existing``."""
+
+    @pytest.mark.parametrize("profile", list_profiles())
+    def test_align_batch_models_like_model_existing(self, profile):
+        jobs = generate_workload(profile, WorkloadSpec(count=8, seed=5)).jobs
+        traced = get_engine("batched", xdrop=20, trace=True).align_batch(jobs)
+        for gpus in (1, 6):
+            aligner = LoganAligner(system=MultiGpuSystem.homogeneous(gpus), xdrop=20)
+            for replication in (1.0, 500.0):
+                full = aligner.align_batch(jobs, replication=replication)
+                remodeled = aligner.model_existing(
+                    jobs, traced.results, replication=replication
+                )
+                assert full.modeled_seconds == remodeled.modeled_seconds
+                assert (
+                    full.multi_gpu.per_device_seconds
+                    == remodeled.multi_gpu.per_device_seconds
+                )
+                assert full.scores() == remodeled.scores()

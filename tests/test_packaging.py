@@ -2,12 +2,17 @@
 
 Every console script must resolve to a callable of :mod:`repro.cli`, and
 the scripts the CLI module documents must be exactly the ones installed.
+Only BELLA's SpGEMM stage needs scipy; the API and serving path import
+with numpy alone.
 """
 
 from __future__ import annotations
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +63,18 @@ def test_dependencies_and_extras(project):
 def test_version_is_read_from_the_package(project):
     assert "version" in project["dynamic"]
     assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
+
+
+def test_api_and_serving_path_do_not_import_scipy():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, repro.api, repro.service, repro.distrib; "
+        "assert 'scipy' not in sys.modules, sorted("
+        "m for m in sys.modules if m.startswith('scipy'))[:5]"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr

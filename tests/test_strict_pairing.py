@@ -1,30 +1,23 @@
-"""Fault injection: a short result list must fail loudly at every pairing site.
+"""Fault injection: a wrong-length result list must fail loudly at every pairing site.
 
-Each site zips a kernel's per-job (or per-extension) results against its
+Each site pairs a kernel's per-job (or per-extension) results with its
 inputs.  A truncated result list used to be zipped silently, dropping the
-tail; with ``strict=True`` it raises instead.  Every test below shortens
-the results of one layer by one entry and expects the layer above to
-refuse them.
+tail; now it raises instead.  Every test below shortens (or lengthens) the
+results of one layer by one entry and expects the layer above to refuse
+them.
 """
 
 from __future__ import annotations
 
+import importlib
 from types import SimpleNamespace
 
 import pytest
 
 from repro.api import AlignConfig
 from repro.bella import BellaPipeline
-from repro.core.scoring import ScoringScheme
 from repro.data import PairSetSpec, generate_pair_set
 from repro.engine import get_engine
-from repro.logan import LoganAligner
-from repro.logan.host import prepare_batch
-from repro.logan.kernel import (
-    EXTENSION_EXECUTORS,
-    StreamExecution,
-    run_extension_stream,
-)
 
 SHORT = "shorter than"
 
@@ -57,31 +50,34 @@ def test_ksw2_engine_rejects_short_kernel_results(jobs, monkeypatch):
         get_engine("ksw2", xdrop=30).align_batch(jobs)
 
 
-def test_extension_stream_rejects_short_executor_results(jobs):
-    def short_executor(tasks, scoring, xdrop, workers):
-        return EXTENSION_EXECUTORS["batched"](tasks, scoring, xdrop, workers)[:-1]
+#: Where each batch engine gets its per-extension results from.
+PAIR_KERNELS = {
+    "batched": "repro.logan.kernel.xdrop_extend_batch",
+    "wavefront": "repro.engine.engines.wavefront_extend_batch",
+    "logan": "repro.logan.kernel.xdrop_extend_batch",
+}
 
-    tasks = prepare_batch(jobs, ScoringScheme()).right_tasks
-    with pytest.raises(ValueError, match=SHORT):
-        run_extension_stream(
-            tasks, ScoringScheme(), xdrop=30, engine=short_executor
-        )
+FAULTS = {
+    "short": lambda results: results[:-1],
+    "long": lambda results: results + results[:1],
+}
 
 
-def test_logan_batch_rejects_short_stream_results(jobs, monkeypatch):
-    import repro.logan.batch as logan_batch
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("engine", sorted(PAIR_KERNELS))
+def test_seed_batch_join_rejects_wrong_length_kernel_results(
+    jobs, monkeypatch, engine, fault
+):
+    module_name, attr = PAIR_KERNELS[engine].rsplit(".", 1)
+    module = importlib.import_module(module_name)
+    real = getattr(module, attr)
 
-    real = logan_batch.run_extension_stream
+    def faulty_kernel(pairs, *args, **kwargs):
+        return FAULTS[fault](real(pairs, *args, **kwargs))
 
-    def short_stream(tasks, **kwargs):
-        execution = real(tasks, **kwargs)
-        return StreamExecution(
-            results=execution.results[:-1], workload=execution.workload
-        )
-
-    monkeypatch.setattr(logan_batch, "run_extension_stream", short_stream)
-    with pytest.raises(ValueError, match=SHORT):
-        LoganAligner(xdrop=30).align_batch(jobs)
+    monkeypatch.setattr(module, attr, faulty_kernel)
+    with pytest.raises(ValueError, match=f"results for {2 * len(jobs)} extensions"):
+        get_engine(engine, xdrop=30).align_batch(jobs)
 
 
 def test_bella_pipeline_rejects_short_alignment_results(tiny_reads, monkeypatch):
