@@ -937,8 +937,8 @@ def compare_engines(
     from repro.engine import available_engines, get_engine
 
     scoring = scoring or _SCORING
-    # Default sweep covers what can actually be built: optional engines
-    # whose dependency is missing (e.g. compiled without numba) are skipped.
+    # Default sweep covers what can actually be built: registered engines
+    # marked unavailable (a plug-in whose library is missing) are skipped.
     names = list(engines) if engines else available_engines()
     ref_batch = get_engine("reference", scoring=scoring, xdrop=xdrop).align_batch(jobs)
     ref_scores = ref_batch.scores()

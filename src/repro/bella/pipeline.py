@@ -444,15 +444,21 @@ class BellaPipeline:
             if decision.outcome != "reject"
         ]
         if self._service is not None:
-            admitted_results = iter(self._service.map(admitted))
+            admitted_results = self._service.map(admitted)
             modeled = None
         elif admitted:
             batch = self.aligner.align_batch(admitted)
-            admitted_results = iter(batch.results)
+            admitted_results = batch.results
             modeled = getattr(batch, "modeled_seconds", None)
         else:
-            admitted_results = iter(())
+            admitted_results = []
             modeled = 0.0
+        if len(admitted_results) != len(admitted):
+            raise ValueError(
+                f"aligner returned {len(admitted_results)} results for "
+                f"{len(admitted)} admitted jobs"
+            )
+        admitted_results = iter(admitted_results)
         results = [
             rejected_result(job, self.scoring)
             if decision.outcome == "reject"

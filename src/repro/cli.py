@@ -44,7 +44,8 @@ Every subcommand shares one declarative configuration surface: the
 and ``--config config.json`` loads a full :class:`~repro.api.AlignConfig`
 which individual flags then override.  Every entry point also accepts
 ``--list-engines`` to print the registered alignment engines (name,
-exactness, summary) and exit.
+exactness, summary) and the pair kernel ``batched`` runs (with the reason
+when the C kernel could not be built), and exit.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .baselines import SeqAnBatchAligner
 from .bella import BellaPipeline
 from .core import encode
 from .core.job import AlignmentJob
+from .core.xdrop_native import native_kernel
 from .data import PairSetSpec, generate_pair_set, load_dataset, read_fasta
 from .engine import describe_engines, list_engines
 from .logan import LoganAligner
@@ -92,6 +94,11 @@ class _ListEnginesAction(argparse.Action):
                 reason = row["reason"] or "optional dependency missing"
                 status = f"  [unavailable: {reason}]"
             print(f"{row['name']:>12s}  {exact:<8s} {row['summary']}{status}")
+        native = native_kernel()
+        kernel = "native (C)" if native.available else (
+            f"numpy fallback, the C kernel is unavailable: {native.reason}"
+        )
+        print(f"\nbatched/logan pair kernel: {kernel}")
         parser.exit(0)
 
 

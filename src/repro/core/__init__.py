@@ -4,9 +4,10 @@ The public surface of this subpackage:
 
 * :func:`repro.core.xdrop_extend` — vectorised X-drop extension (the LOGAN
   kernel inner loop);
-* :func:`repro.core.xdrop_extend_batch` — inter-sequence batched kernel that
-  extends a whole batch of pairs per anti-diagonal step (one row per
-  alignment, LOGAN's one-block-per-extension layout);
+* :mod:`repro.core.xdrop_native` — the C batch kernel behind the default
+  engine, one band sweep per extension, built with ``cc`` on first use;
+* :func:`repro.core.xdrop_extend_batch` — numpy inter-sequence batched
+  kernel, its fallback on hosts without a C compiler;
 * :func:`repro.core.xdrop_extend_reference` — scalar reference oracle;
 * :func:`repro.core.exact_extension_score` — un-pruned full-DP oracle;
 * :func:`repro.core.extend_seed` / :class:`repro.core.Seed` — seed-and-extend

@@ -86,7 +86,7 @@ def ensure_unit_scoring(scoring: ScoringScheme) -> None:
             "wavefront engine requires unit scoring "
             "(match=1, mismatch=-1, gap=-1); got "
             f"match={scoring.match}, mismatch={scoring.mismatch}, "
-            f"gap={scoring.gap}. Use the 'batched' or 'compiled' engine "
+            f"gap={scoring.gap}. Use the 'batched' engine "
             "for non-unit schemes."
         )
 

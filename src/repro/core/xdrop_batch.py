@@ -1,64 +1,42 @@
-"""Inter-sequence batched X-drop extension kernel (compacting + tiled).
+"""Inter-sequence batched X-drop extension kernel in numpy (compacting + tiled).
 
-The LOGAN paper's central observation (Section IV) is that X-drop extension
-only scales when *inter-sequence* parallelism is exploited: one GPU block per
-extension, thousands of extensions in flight at once.  The per-pair kernel in
-:mod:`repro.core.xdrop_vectorized` captures the *intra*-sequence parallelism
-of one anti-diagonal; this module adds the missing axis.
+The ``batched`` and ``logan`` engines run this kernel only on hosts where
+the C kernel (:mod:`repro.core.xdrop_native`) cannot be built.  It exploits
+LOGAN's *inter-sequence* parallelism in numpy: :func:`xdrop_extend_batch`
+packs every extension of a batch into padded 2-D arrays, one row per
+alignment (LOGAN's one-block-per-extension layout), and advances a single
+global anti-diagonal counter.  Each step evaluates the three-parent
+recurrence for every row's band at once, prunes with a per-row running
+best (the per-block shared variable of the GPU kernel), trims each band to
+its first/last finite cell, and retires a row when its band empties or its
+DP matrix is exhausted.
 
-:func:`xdrop_extend_batch` packs every extension of a batch into padded 2-D
-NumPy arrays — one row per alignment, exactly mirroring LOGAN's
-one-block-per-extension layout — and advances a single global anti-diagonal
-counter.  Each step performs one set of array operations over the whole
-batch:
+Its cost grows with anti-diagonal steps times packed rows, so three
+mechanisms keep the work proportional to what is alive, without changing a
+single output bit:
 
-* the three-parent recurrence is evaluated for every alignment's band at
-  once (rows whose band does not cover a column are masked to ``-inf``);
-* the X-drop prune uses a per-row running best (the per-block shared
-  variable of the GPU kernel);
-* the band is trimmed per row by locating the first/last finite cell, and a
-  row retires when its band empties (early termination) or its DP matrix is
-  exhausted.
+**Active-row compaction.**  When the live fraction of the packed rows drops
+below ``compact_threshold``, retired rows are scattered into the result
+arrays and every per-row array is compacted to the survivors (and its
+columns to the longest surviving query); a fractional threshold keeps the
+total copy cost ``O(batch)``.
 
-Three hot-path mechanisms keep the work proportional to what is actually
-alive, without changing a single output bit:
+**Downsized DP buffers (int16/int32).**  When the largest score the batch
+can produce (``(max_m + max_n) * max|param| + xdrop``) fits, buffers are
+int16 (sentinel ``-2**14``) or int32 (sentinel ``-2**30``); each sentinel
+stays strictly below any reachable cutoff after adding a score, and batches
+that could overflow fall back to int64.
 
-**Active-row compaction.**  Extensions retire at wildly different
-anti-diagonals (a one-base pair is done at ``d = 2`` while a 600 bp pair
-runs for over a thousand steps).  Whenever the live fraction of the packed
-rows drops below ``compact_threshold``, retired rows are scattered into the
-result arrays and every per-row array is physically compacted to the
-survivors — so a retired extension stops costing band derivation, masking
-and buffer traffic on every subsequent step.  Compacting at a fractional
-threshold keeps the total copy cost geometric (``O(batch)`` rows copied
-over the whole sweep).  Compaction also shrinks the *column* extent of the
-scratch buffers to the longest surviving query, which matters for
-length-skewed batches.
+**Column tiling.**  A wide union band is swept in ``tile_width``-column
+tiles that stay cache-resident; maxima, argmaxima and band trims fold
+across tiles with first-occurrence semantics.
 
-**Downsized DP buffers (int16/int32).**  When the score magnitudes the
-batch can possibly produce (``(max_m + max_n) * max|param| + xdrop``) fit
-comfortably inside a smaller integer, the anti-diagonal buffers are
-allocated as int16 (sentinel ``-2**14``, short-read batches — four cells
-per int64's cache footprint) or int32 (sentinel ``-2**30``).  Each
-sentinel keeps the same invariant the int64 sentinel has: a pruned parent
-plus the largest substitution score still lies strictly below any
-reachable X-drop cutoff, so masked cells can never fake a finite score.
-Batches that could overflow fall back to int64 automatically (the
-overflow guard).
-
-**Column tiling.**  A very wide union band (thousands of columns) is swept
-in ``tile_width``-column tiles so each tile's operands stay cache-resident;
-per-row maxima, argmaxima and band trims are folded across tiles with
-first-occurrence semantics identical to a single full-width pass.
-
-Only the union of the live per-row bands is computed at every step, so the
-work per anti-diagonal is ``O(live_rows * union_band_width)``.  Scores, end
-positions, cell counts and band traces are bit-identical to the scalar
-reference for every row — and invariant to ``compact_threshold`` and
-``tile_width`` — the properties the conformance suite enforces.
-
-Pass a :class:`BatchKernelStats` as ``stats`` to collect compaction /
-tiling telemetry; the serving layer uses it to derive batch-sizing hints.
+Only the union of the live per-row bands is computed at every step.
+Scores, end positions, cell counts and band traces are bit-identical to
+the scalar reference for every row, and invariant to ``compact_threshold``
+and ``tile_width``.  Pass a :class:`BatchKernelStats` as ``stats`` to
+collect work telemetry; the serving layer derives batch-sizing hints from
+it.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from .base import (
 )
 from .engines import (
     BatchedEngine,
-    CompiledEngine,
     Ksw2Engine,
     LoganEngine,
     ReferenceEngine,
@@ -49,7 +48,6 @@ __all__ = [
     "ReferenceEngine",
     "VectorizedEngine",
     "BatchedEngine",
-    "CompiledEngine",
     "WavefrontEngine",
     "SeqAnEngine",
     "Ksw2Engine",

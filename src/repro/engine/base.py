@@ -17,8 +17,8 @@ The registry is open: downstream code can plug in its own engine with
 pick it up automatically via :func:`list_engines`.
 
 Engines backed by *optional* dependencies register with
-``available=False`` and a human-readable ``reason`` (e.g. the ``compiled``
-engine when numba is not installed).  Unavailable engines stay visible —
+``available=False`` and a human-readable ``reason`` (e.g. a plug-in engine
+whose library is not installed).  Unavailable engines stay visible —
 :func:`list_engines` and :func:`describe_engines` still report them, so
 configs naming one validate and ``--list-engines`` can explain what is
 missing — but instantiating one through :func:`get_engine` /

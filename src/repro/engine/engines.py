@@ -1,19 +1,17 @@
 """Concrete alignment engines wrapping every aligner in the library.
 
-Eight engines ship with the package (names as registered):
+Seven engines ship with the package (names as registered):
 
 ==============  =====================================================  ======
 name            implementation                                         exact
 ==============  =====================================================  ======
 ``reference``   per-job Python loop over the scalar reference kernel   yes
 ``vectorized``  per-job loop over the per-pair vectorised kernel       yes
-``batched``     inter-sequence batched kernel — the whole batch is
-                packed into padded arrays and swept together
+``batched``     one call of the C kernel over the packed batch, each
+                extension swept over its own live band
+                (:mod:`repro.core.xdrop_native`); the numpy batched
+                sweep when no C compiler is available
                 (:func:`repro.core.xdrop_batch.xdrop_extend_batch`)    yes
-``compiled``    numba-JIT per-pair banded sweep sharing the batched
-                kernel's dtype tiers; registered unavailable (with
-                the reason) when numba is not installed
-                (:func:`repro.core.xdrop_compiled.xdrop_extend_compiled`)  yes
 ``wavefront``   WFA-style furthest-reaching-point extension, unit
                 scoring only
                 (:func:`repro.core.wavefront.wavefront_extend_batch`)  yes*
@@ -24,10 +22,11 @@ name            implementation                                         exact
                 (:class:`repro.logan.LoganAligner`)                     yes
 ==============  =====================================================  ======
 
-``batched``, ``compiled``, ``wavefront`` and ``logan`` share one batch
-path, :func:`repro.logan.kernel.extend_seed_batch`: seed split, one
-pair-kernel call over every non-empty side, and the left + seed + right
-join.  They differ only in the pair kernel.
+``batched``, ``wavefront`` and ``logan`` share one batch path,
+:func:`repro.logan.kernel.extend_seed_batch`: seed split, one pair-kernel
+call over every non-empty side, and the left + seed + right join.  They
+differ only in the pair kernel; ``batched`` and ``logan`` share that too
+(:func:`repro.logan.kernel.extend_pairs_batched`).
 
 "exact" engines return scores, end positions and work accounting identical
 to :func:`repro.core.xdrop.xdrop_extend_reference` on every job; the parity
@@ -54,13 +53,8 @@ from ..core.seed_extend import extend_seed
 from ..core.wavefront import ensure_unit_scoring, wavefront_extend_batch
 from ..core.xdrop import xdrop_extend_reference
 from ..core.xdrop_batch import BatchKernelStats
-from ..core.xdrop_compiled import (
-    HAVE_NUMBA,
-    NUMBA_IMPORT_ERROR,
-    xdrop_extend_compiled,
-)
 from ..core.xdrop_vectorized import xdrop_extend
-from ..logan.kernel import extend_pairs_batched, extend_seed_batch
+from ..logan.kernel import extend_pairs_batched, extend_seed_batch, kernel_name
 from ..obs.runtime import (
     LIVE_FRACTION_BUCKETS,
     emit_kernel_batch,
@@ -74,7 +68,6 @@ __all__ = [
     "ReferenceEngine",
     "VectorizedEngine",
     "BatchedEngine",
-    "CompiledEngine",
     "WavefrontEngine",
     "SeqAnEngine",
     "Ksw2Engine",
@@ -141,6 +134,23 @@ class _EngineBase:
     ) -> EngineBatchResult:
         raise NotImplementedError  # pragma: no cover - abstract
 
+    def _seed_batch(
+        self, jobs, scoring, xdrop, pair_kernel, **extras
+    ) -> EngineBatchResult:
+        """Time one :func:`extend_seed_batch` run of *pair_kernel* over *jobs*."""
+        timer = Timer()
+        with timer:
+            results = extend_seed_batch(
+                jobs, scoring, xdrop, pair_kernel, trace=self.trace
+            )
+        return EngineBatchResult(
+            engine=self.name,
+            results=results,
+            summary=summarize_results(results),
+            elapsed_seconds=timer.elapsed,
+            extras=extras,
+        )
+
     def _observe_batch(
         self, ob, result: EngineBatchResult, jobs: int
     ) -> None:
@@ -158,8 +168,9 @@ class _EngineBase:
         stats = result.extras.get("kernel_stats") if result.extras else None
         if stats is not None and stats.rows:
             # Fresh per-call accumulator, so its totals *are* the deltas.
+            kernel = kernel_name()
             emit_kernel_batch(
-                "batched",
+                kernel,
                 pairs=stats.rows,
                 cells=stats.cells,
                 steps=stats.row_steps,
@@ -170,13 +181,13 @@ class _EngineBase:
                 "repro_kernel_compactions_total",
                 "active-row compactions performed",
                 ("kernel",),
-            ).inc(stats.compactions, kernel="batched")
+            ).inc(stats.compactions, kernel=kernel)
             reg.histogram(
                 "repro_kernel_live_fraction",
                 "rows-weighted live fraction per batch call",
                 ("kernel",),
                 buckets=LIVE_FRACTION_BUCKETS,
-            ).observe(stats.rows_weighted_live_fraction, kernel="batched")
+            ).observe(stats.rows_weighted_live_fraction, kernel=kernel)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(xdrop={self.xdrop})"
@@ -225,19 +236,20 @@ class VectorizedEngine(_PerJobEngine):
 
 
 class BatchedEngine(_EngineBase):
-    """Inter-sequence batched engine: one fused sweep over the whole batch.
+    """Inter-sequence batched engine: one kernel call over the whole batch.
 
     Runs :func:`repro.logan.kernel.extend_seed_batch` with the batched
     pair kernel (:func:`repro.logan.kernel.extend_pairs_batched`): all
-    left- and right-extensions are swept together, every extension one row
-    of the batch kernel, mirroring LOGAN's one-block-per-extension GPU
-    layout.  With ``workers > 1`` the sweep is chunked across worker
-    processes (scores and traces are unaffected).
+    left- and right-extensions go to one call of the C kernel, each
+    extension swept over its own band, mirroring LOGAN's
+    one-block-per-extension GPU layout.  With ``workers > 1`` the batch is
+    split across threads (scores and traces are unaffected).  Without a C
+    compiler one numpy batched sweep runs instead.
 
-    ``compact_threshold`` and ``tile_width`` tune the kernel's active-row
-    compaction and column tiling (see
+    ``compact_threshold`` and ``tile_width`` tune the numpy sweep's
+    active-row compaction and column tiling (see
     :func:`repro.core.xdrop_batch.xdrop_extend_batch`); results are
-    invariant to both.  Single-process runs attach the kernel's
+    invariant to both.  Every run attaches the kernel's
     :class:`~repro.core.xdrop_batch.BatchKernelStats` telemetry to the
     batch result as ``extras["kernel_stats"]`` — the serving layer reads
     it for batch-sizing hints.
@@ -265,7 +277,7 @@ class BatchedEngine(_EngineBase):
         xdrop: int | None = None,
     ) -> EngineBatchResult:
         scoring, xdrop = self._resolve(scoring, xdrop)
-        stats = BatchKernelStats() if self.workers == 1 else None
+        stats = BatchKernelStats()
         pair_kernel = partial(
             extend_pairs_batched,
             workers=self.workers,
@@ -274,85 +286,18 @@ class BatchedEngine(_EngineBase):
             tile_width=self.tile_width,
             stats=stats,
         )
-        timer = Timer()
-        with timer:
-            results = extend_seed_batch(
-                jobs, scoring, xdrop, pair_kernel, trace=self.trace
-            )
-        return EngineBatchResult(
-            engine=self.name,
-            results=results,
-            summary=summarize_results(results),
-            elapsed_seconds=timer.elapsed,
-            extras={"kernel_stats": stats} if stats is not None else {},
-        )
+        return self._seed_batch(jobs, scoring, xdrop, pair_kernel, kernel_stats=stats)
 
 
-class _PairKernelEngine(_EngineBase):
-    """Engines that run one batch-kernel call over the prepared extensions.
-
-    The batch goes through :func:`repro.logan.kernel.extend_seed_batch`,
-    exactly like :class:`BatchedEngine`; subclasses provide
-    :meth:`_extend_pairs` mapping the live ``(query, target)`` pairs to
-    per-pair :class:`ExtensionResult`\\ s.
-    """
-
-    def _extend_pairs(self, pairs, scoring, xdrop) -> list[ExtensionResult]:
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def _align_batch(
-        self,
-        jobs: Sequence[AlignmentJob],
-        scoring: ScoringScheme | None = None,
-        xdrop: int | None = None,
-    ) -> EngineBatchResult:
-        scoring, xdrop = self._resolve(scoring, xdrop)
-        timer = Timer()
-        with timer:
-            results = extend_seed_batch(
-                jobs, scoring, xdrop, self._extend_pairs, trace=self.trace
-            )
-        return EngineBatchResult(
-            engine=self.name,
-            results=results,
-            summary=summarize_results(results),
-            elapsed_seconds=timer.elapsed,
-        )
-
-
-class CompiledEngine(_PairKernelEngine):
-    """numba-JIT per-pair banded sweep — the batched semantics without interpreter cost.
-
-    Runs :func:`repro.core.xdrop_compiled.xdrop_extend_compiled`: the scalar
-    reference recurrence compiled per pair, touching exactly the live band
-    (the effect the batched kernel's compaction/tiling approximates) with
-    the same dtype-tier overflow guard.  Bit-identical to the reference on
-    every scoring scheme, including work accounting and band traces.
-
-    The registry marks this engine unavailable when numba is not installed
-    (``repro-align --list-engines`` shows the reason); the class itself
-    still works everywhere by falling back to the pure-Python kernel, which
-    is what the test-suite exercises on numba-less environments.  ``workers``
-    is accepted for signature uniformity and ignored (the compiled loop is
-    already single-pass per pair).
-    """
-
-    name = "compiled"
-
-    def _extend_pairs(self, pairs, scoring, xdrop) -> list[ExtensionResult]:
-        return xdrop_extend_compiled(
-            pairs, scoring=scoring, xdrop=xdrop, trace=self.trace
-        )
-
-
-class WavefrontEngine(_PairKernelEngine):
+class WavefrontEngine(_EngineBase):
     """WFA-style furthest-reaching-point X-drop extension (unit scoring only).
 
     Runs :func:`repro.core.wavefront.wavefront_extend_batch`: snake-walking
     furthest-reaching points per (cost, diagonal) instead of sweeping DP
     anti-diagonals, so work scales with accumulated *cost* rather than
     sequence length — on high-identity reads this removes almost all of the
-    anti-diagonal stepping and beats the batched kernel outright.
+    anti-diagonal stepping (it still runs in Python, unlike ``batched``'s
+    C kernel).
 
     Exact on scores, end positions and early-termination for the unit
     scheme (match=+1, mismatch=-1, gap=-1) only; any other scheme raises
@@ -376,11 +321,16 @@ class WavefrontEngine(_PairKernelEngine):
         super().__init__(scoring=scoring, xdrop=xdrop, workers=workers, trace=trace)
         ensure_unit_scoring(self.scoring)
 
-    def _extend_pairs(self, pairs, scoring, xdrop) -> list[ExtensionResult]:
+    def _align_batch(
+        self,
+        jobs: Sequence[AlignmentJob],
+        scoring: ScoringScheme | None = None,
+        xdrop: int | None = None,
+    ) -> EngineBatchResult:
+        scoring, xdrop = self._resolve(scoring, xdrop)
         ensure_unit_scoring(scoring)
-        return wavefront_extend_batch(
-            pairs, scoring=scoring, xdrop=xdrop, trace=self.trace
-        )
+        pair_kernel = partial(wavefront_extend_batch, trace=self.trace)
+        return self._seed_batch(jobs, scoring, xdrop, pair_kernel)
 
 
 class SeqAnEngine(_EngineBase):
@@ -576,17 +526,6 @@ class LoganEngine(_EngineBase):
 register_engine("reference", ReferenceEngine)
 register_engine("vectorized", VectorizedEngine)
 register_engine("batched", BatchedEngine)
-register_engine(
-    "compiled",
-    CompiledEngine,
-    available=HAVE_NUMBA,
-    reason=None
-    if HAVE_NUMBA
-    else (
-        "the optional dependency numba is not installed "
-        f"(pip install numba): {NUMBA_IMPORT_ERROR}"
-    ),
-)
 register_engine("wavefront", WavefrontEngine)
 register_engine("seqan", SeqAnEngine)
 register_engine("ksw2", Ksw2Engine)

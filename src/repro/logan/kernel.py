@@ -1,18 +1,20 @@
-"""Functional LOGAN kernel: one batched sweep over every extension of a batch.
+"""Functional LOGAN kernel: one kernel call over every extension of a batch.
 
 The CUDA kernel of the paper assigns each extension to a GPU block and
-computes its anti-diagonals with Algorithm 2.  In this reproduction every
-extension is one row of the inter-sequence batched X-drop kernel
-(:func:`repro.core.xdrop_batch.xdrop_extend_batch`), mirroring LOGAN's
-one-block-per-extension layout; with tracing on, each row records the
-anti-diagonal width trace the GPU execution model replays to estimate V100
-time.
+computes its anti-diagonals with Algorithm 2.  In this reproduction
+:func:`extend_pairs_batched` hands every extension of a batch to one call
+of the C kernel (:mod:`repro.core.xdrop_native`), which sweeps each
+extension over its own live band, as a block would; with tracing on, each
+extension records the anti-diagonal width trace the GPU execution model
+replays to estimate V100 time.  It is the one place the kernel is chosen:
+the numpy batched sweep (:func:`repro.core.xdrop_batch.xdrop_extend_batch`)
+runs only when the C kernel cannot be built.
 
 :func:`extend_seed_batch` is the library's single batch seed-extension
 path: host preprocessing, one pair-kernel call over the non-empty sides,
 zero-score placeholders for seed-flush sides, and the left + seed + right
-join.  The ``batched``, ``compiled``, ``wavefront`` and ``logan`` engines
-all run through it, each with its own pair kernel.
+join.  The ``batched``, ``wavefront`` and ``logan`` engines all run
+through it, each with its own pair kernel.
 
 The kernel is *functionally exact*: the scores and end positions it returns
 are the library's single source of truth and are identical to the scalar
@@ -30,13 +32,15 @@ from ..core.job import AlignmentJob
 from ..core.result import ExtensionResult, SeedAlignmentResult
 from ..core.scoring import ScoringScheme
 from ..core.xdrop_batch import BatchKernelStats, xdrop_extend_batch
-from ..perf.parallel import chunk_evenly, parallel_map
+from ..core.xdrop_native import native_kernel
+from ..perf.parallel import available_workers
 from .host import prepare_batch
 
 __all__ = [
     "empty_extension",
     "extend_pairs_batched",
     "extend_seed_batch",
+    "kernel_name",
 ]
 
 #: ``(pairs, scoring, xdrop) -> one ExtensionResult per pair, in order``.
@@ -58,23 +62,9 @@ def empty_extension(trace: bool = True) -> ExtensionResult:
     )
 
 
-def _run_pair_chunk(
-    pairs: list,
-    scoring: ScoringScheme,
-    xdrop: int,
-    trace: bool,
-    compact_threshold: float | None,
-    tile_width: int | None,
-) -> list[ExtensionResult]:
-    """Worker: one batched sweep over a chunk of pairs (picklable)."""
-    return xdrop_extend_batch(
-        pairs,
-        scoring=scoring,
-        xdrop=xdrop,
-        trace=trace,
-        compact_threshold=compact_threshold,
-        tile_width=tile_width,
-    )
+def kernel_name() -> str:
+    """The kernel :func:`extend_pairs_batched` runs: ``native`` or ``numpy``."""
+    return "native" if native_kernel().available else "numpy"
 
 
 def extend_pairs_batched(
@@ -88,38 +78,43 @@ def extend_pairs_batched(
     tile_width: int | None = None,
     stats: BatchKernelStats | None = None,
 ) -> list[ExtensionResult]:
-    """The batched pair kernel: every pair is one row of one sweep.
+    """The batched pair kernel of the ``batched`` and ``logan`` engines.
 
-    With ``workers > 1`` the pairs are split into contiguous chunks and
-    each chunk is swept by one worker process — chunking never changes
-    scores or traces, only the measured wall-clock.
+    Runs the C kernel (:mod:`repro.core.xdrop_native`, built on the first
+    call) whenever it loaded; with ``workers > 1`` the packed batch is split
+    across that many threads.  Only when the C kernel cannot be built does
+    one numpy sweep (:func:`repro.core.xdrop_batch.xdrop_extend_batch`)
+    run instead; ``compact_threshold`` / ``tile_width`` tune that sweep
+    alone.  Results are identical either way.
 
-    ``compact_threshold`` / ``tile_width`` tune the kernel's active-row
-    compaction and column tiling (results are invariant to them), and
-    ``stats`` — when given — collects the sweep's
-    :class:`~repro.core.xdrop_batch.BatchKernelStats` telemetry.  Stats are
-    only gathered on the in-process path; chunked multi-worker sweeps run in
-    subprocesses, which cannot update the caller's accumulator.
+    ``stats``, when given, collects the call's
+    :class:`~repro.core.xdrop_batch.BatchKernelStats`.  The C kernel pads
+    nothing, so its ``steps`` and ``row_steps`` are both the sum of the
+    extensions' anti-diagonals.
     """
-    if workers > 1 and len(pairs) > 1:
-        chunks = chunk_evenly(pairs, min(workers, len(pairs)))
-        chunk_results = parallel_map(
-            _run_pair_chunk,
-            chunks,
-            args=(scoring, xdrop, trace, compact_threshold, tile_width),
-            workers=workers,
-            min_items_per_worker=1,
+    native = native_kernel()
+    if not native.available:
+        return xdrop_extend_batch(
+            pairs,
+            scoring=scoring,
+            xdrop=xdrop,
+            trace=trace,
+            compact_threshold=compact_threshold,
+            tile_width=tile_width,
+            stats=stats,
         )
-        return [ext for chunk in chunk_results for ext in chunk]
-    return xdrop_extend_batch(
-        pairs,
-        scoring=scoring,
-        xdrop=xdrop,
-        trace=trace,
-        compact_threshold=compact_threshold,
-        tile_width=tile_width,
-        stats=stats,
+    results = native.extend(
+        pairs, scoring, xdrop, trace=trace, threads=available_workers(workers)
     )
+    if stats is not None:
+        steps = sum(ext.anti_diagonals for ext in results)
+        stats.rows += len(results)
+        stats.steps += steps
+        stats.row_steps += steps
+        stats.active_row_steps += steps
+        stats.cells += sum(ext.cells_computed for ext in results)
+        stats.dtype = stats.dtype or "int64"
+    return results
 
 
 def extend_seed_batch(

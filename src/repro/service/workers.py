@@ -151,9 +151,12 @@ class ShardedWorkerPool:
         results: list[SeedAlignmentResult | None] = [None] * len(jobs)
         summary = BatchWorkSummary()
         kernel_stats: BatchKernelStats | None = None
-        for assignment, batch in zip(assignments, batches):
-            for local, job_index in enumerate(assignment.job_indices):
-                results[job_index] = batch.results[local]
+        for assignment, batch in zip(assignments, batches, strict=True):
+            # A shard returning a wrong number of results fails the batch.
+            for job_index, result in zip(
+                assignment.job_indices, batch.results, strict=True
+            ):
+                results[job_index] = result
             summary = summary.merge(batch.summary)
             stats = self.worker_stats[assignment.device_index]
             stats.batches += 1

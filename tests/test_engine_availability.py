@@ -3,9 +3,8 @@
 An engine whose optional dependency is missing stays *registered* (configs
 naming it still validate, ``--list-engines`` still shows it) but is
 *unavailable*: building it fails with a ConfigurationError that carries the
-recorded reason, and every default engine sweep skips it. The ``compiled``
-engine is the production instance of this contract — numba is optional, and
-its pure-Python kernel fallback keeps the engine testable either way.
+recorded reason, and every default engine sweep skips it. No bundled engine
+has an optional dependency, so a test-registered dummy engine stands in.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import pytest
 
 from repro.api import AlignConfig
 from repro.cli import main_align
-from repro.core.xdrop_compiled import HAVE_NUMBA
 from repro.engine import (
     available_engines,
     describe_engines,
@@ -24,13 +22,9 @@ from repro.engine import (
     register_engine,
     unregister_engine,
 )
-from repro.engine.engines import CompiledEngine, ReferenceEngine
+from repro.engine.engines import ReferenceEngine
 from repro.errors import ConfigurationError
 from repro.testing import ConformanceRunner
-from repro.workloads import WorkloadSpec, generate_workload
-
-SPEC = WorkloadSpec(count=4, seed=7, min_length=60, max_length=120, xdrop=15)
-
 
 @pytest.fixture
 def ghost_engine():
@@ -107,64 +101,3 @@ class TestConformanceDefaults:
         message = str(excinfo.value)
         assert "registered but unavailable" in message
         assert "ghostlib" in message
-
-
-class TestCompiledEngineGating:
-    """The production optional-dep engine, exercised on both CI legs."""
-
-    def test_registry_reflects_numba_presence(self):
-        rows = {row["name"]: row for row in describe_engines()}
-        row = rows["compiled"]
-        assert row["available"] is HAVE_NUMBA
-        if not HAVE_NUMBA:
-            assert "numba" in row["reason"]
-            assert "pip install numba" in row["reason"]
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed: engine is available")
-    def test_missing_numba_names_the_install_hint(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            get_engine("compiled")
-        assert "pip install numba" in str(excinfo.value)
-        with pytest.raises(ConfigurationError) as excinfo:
-            engine_from_config(AlignConfig(engine="compiled"))
-        assert "pip install numba" in str(excinfo.value)
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba absent: engine unavailable")
-    def test_compiled_available_through_registry(self):
-        assert "compiled" in available_engines()
-        engine = get_engine("compiled", xdrop=15)
-        assert isinstance(engine, CompiledEngine)
-
-    def test_compiled_conformance_via_fallback_kernel(self):
-        # The engine class is constructible regardless of numba (the kernel
-        # degrades to its pure-Python form), so full-field conformance runs
-        # on every CI leg under a temporary registration name.
-        register_engine("compiled_test", CompiledEngine)
-        try:
-            runner = ConformanceRunner(
-                AlignConfig(engine="batched", xdrop=15, trace=True),
-                engines=["reference", "compiled_test"],
-                include_service=False,
-            )
-            report = runner.run_workload(generate_workload("pacbio", SPEC))
-            assert report.ok, report.summary()
-        finally:
-            unregister_engine("compiled_test")
-
-    def test_compiled_conformance_on_non_unit_scoring(self):
-        from repro.core import ScoringScheme
-
-        register_engine("compiled_test", CompiledEngine)
-        try:
-            config = AlignConfig(
-                engine="batched",
-                xdrop=25,
-                scoring=ScoringScheme(match=3, mismatch=-5, gap=-2),
-            )
-            runner = ConformanceRunner(
-                config, engines=["reference", "compiled_test"], include_service=False
-            )
-            report = runner.run_workload(generate_workload("ont", SPEC))
-            assert report.ok, report.summary()
-        finally:
-            unregister_engine("compiled_test")

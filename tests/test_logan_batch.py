@@ -90,16 +90,16 @@ class TestLoganAligner:
 
     @pytest.mark.parametrize("gpus", [1, 6])
     def test_one_kernel_sweep_for_any_gpu_count(self, small_jobs, monkeypatch, gpus):
-        import repro.logan.kernel as kernel
+        import repro.logan.batch as batch
 
         calls = []
-        real = kernel.xdrop_extend_batch
+        real = batch.extend_pairs_batched
 
         def counting(pairs, *args, **kwargs):
             calls.append(len(pairs))
             return real(pairs, *args, **kwargs)
 
-        monkeypatch.setattr(kernel, "xdrop_extend_batch", counting)
+        monkeypatch.setattr(batch, "extend_pairs_batched", counting)
         LoganAligner(system=MultiGpuSystem.homogeneous(gpus), xdrop=20).align_batch(
             small_jobs
         )

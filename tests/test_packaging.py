@@ -3,12 +3,14 @@
 Every console script must resolve to a callable of :mod:`repro.cli`, and
 the scripts the CLI module documents must be exactly the ones installed.
 Only BELLA's SpGEMM stage needs scipy; the API and serving path import
-with numpy alone.
+with numpy alone.  The C kernel's source is package data of ``repro.core``,
+because the kernel is compiled from it on first use.
 """
 
 from __future__ import annotations
 
 import importlib
+import importlib.resources
 import os
 import re
 import subprocess
@@ -58,6 +60,15 @@ def test_dependencies_and_extras(project):
     assert set(project["optional-dependencies"]) == {"test", "lint"}
     assert {"pytest", "hypothesis"} <= set(project["optional-dependencies"]["test"])
     assert "ruff" in project["optional-dependencies"]["lint"]
+
+
+def test_c_kernel_source_ships_with_repro_core():
+    with PYPROJECT.open("rb") as handle:
+        setuptools = tomllib.load(handle)["tool"]["setuptools"]
+    assert setuptools["package-data"]["repro.core"] == ["xdrop_native.c"]
+    source = importlib.resources.files("repro.core") / "xdrop_native.c"
+    assert source.is_file()
+    assert "void xdrop_extend_packed(" in source.read_text()
 
 
 def test_version_is_read_from_the_package(project):

@@ -52,9 +52,9 @@ def test_ksw2_engine_rejects_short_kernel_results(jobs, monkeypatch):
 
 #: Where each batch engine gets its per-extension results from.
 PAIR_KERNELS = {
-    "batched": "repro.logan.kernel.xdrop_extend_batch",
+    "batched": "repro.engine.engines.extend_pairs_batched",
     "wavefront": "repro.engine.engines.wavefront_extend_batch",
-    "logan": "repro.logan.kernel.xdrop_extend_batch",
+    "logan": "repro.logan.batch.extend_pairs_batched",
 }
 
 FAULTS = {
@@ -97,3 +97,49 @@ def test_bella_pipeline_rejects_short_alignment_results(tiny_reads, monkeypatch)
     monkeypatch.setattr(engine, "align_batch", short_batch)
     with pytest.raises(ValueError, match=SHORT):
         pipeline.run(tiny_reads)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("num_workers", [1, 2])
+def test_worker_pool_rejects_wrong_length_shard_results(jobs, fault, num_workers):
+    from repro.service.workers import ShardedWorkerPool
+
+    engine = get_engine("batched", xdrop=30)
+    real = engine.align_batch
+
+    def faulty_batch(batch_jobs, *args, **kwargs):
+        batch = real(batch_jobs, *args, **kwargs)
+        batch.results = FAULTS[fault](batch.results)
+        return batch
+
+    engine.align_batch = faulty_batch
+    pool = ShardedWorkerPool(engine, num_workers=num_workers, xdrop=30)
+    with pytest.raises(ValueError, match="zip"):
+        pool.run_batch(jobs)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_bella_prefilter_merge_rejects_wrong_length_results(
+    tiny_reads, monkeypatch, fault
+):
+    pipeline = BellaPipeline(
+        config=AlignConfig(engine="batched", xdrop=15),
+        k=13,
+        min_overlap=300,
+        prefilter="enforce",
+    )
+    engine = pipeline.aligner
+    real = engine.align_batch
+    admitted = []
+
+    def faulty_batch(batch_jobs, *args, **kwargs):
+        admitted.append(len(batch_jobs))
+        batch = real(batch_jobs, *args, **kwargs)
+        return SimpleNamespace(
+            results=FAULTS[fault](batch.results), modeled_seconds=None
+        )
+
+    monkeypatch.setattr(engine, "align_batch", faulty_batch)
+    with pytest.raises(ValueError, match="admitted jobs"):
+        pipeline.run(tiny_reads)
+    assert admitted and admitted[0] > 0

@@ -249,19 +249,6 @@ def test_dtype_tiers_agree_with_reference():
         assert_identical(got, ref)
 
 
-def _run_compiled(pairs, scoring=None, xdrop=100):
-    from repro.core.xdrop_compiled import xdrop_extend_compiled
-
-    return xdrop_extend_compiled(pairs, scoring=scoring, xdrop=xdrop, trace=True)
-
-
-def _run_batched(pairs, scoring=None, xdrop=100):
-    return xdrop_extend_batch(pairs, scoring=scoring, xdrop=xdrop, trace=True)
-
-
-@pytest.mark.parametrize(
-    "run_kernel", [_run_batched, _run_compiled], ids=["batched", "compiled"]
-)
 @pytest.mark.parametrize(
     "length, scoring, xdrop, expected_dtype",
     [
@@ -275,13 +262,13 @@ def _run_batched(pairs, scoring=None, xdrop=100):
     ids=["score-exceeds-int16", "xdrop-exceeds-int32"],
 )
 def test_overflow_guard_on_near_identical_pairs(
-    run_kernel, length, scoring, xdrop, expected_dtype
+    length, scoring, xdrop, expected_dtype
 ):
     """Wavefront-shaped adversarial input: long, almost-identical pairs.
 
-    The ``batched`` and ``compiled`` kernels share ``_select_dtype``; both
-    must pick the same widened tier and stay bit-identical to the scalar
-    reference (which always computes in Python ints).
+    The numpy batched kernel must pick the widened tier and stay
+    bit-identical to the scalar reference (which always computes in Python
+    ints).
     """
     from repro.core.xdrop_batch import _select_dtype
 
@@ -295,7 +282,7 @@ def test_overflow_guard_on_near_identical_pairs(
     dtype, _ = _select_dtype(length, length, scoring, xdrop)
     assert np.dtype(dtype).name == expected_dtype
 
-    got = run_kernel(pairs, scoring=scoring, xdrop=xdrop)
+    got = xdrop_extend_batch(pairs, scoring=scoring, xdrop=xdrop, trace=True)
     ref = [
         xdrop_extend_reference(a, b, scoring=scoring, xdrop=xdrop, trace=True)
         for a, b in pairs
