@@ -73,8 +73,7 @@ def main(argv=None) -> int:
     print(
         f"batches formed: {entry.extra['batches_formed']}, "
         f"mean batch {entry.extra['mean_batch_size']:.1f}, "
-        f"cache hit rate {entry.extra['cache_hit_rate']:.2f}, "
-        f"kernel live fraction {entry.extra['kernel_live_fraction']}"
+        f"cache hit rate {entry.extra['cache_hit_rate']:.2f}"
     )
 
     failed = False

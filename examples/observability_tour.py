@@ -4,8 +4,8 @@
 Walks the whole :mod:`repro.obs` surface on a small served workload:
 
 * the always-live metrics registry — queue depth, batcher occupancy,
-  cache hit rate, per-shard worker heat, kernel live fraction — exported
-  as Prometheus text and JSON-lines snapshots with provenance,
+  cache hit rate, per-shard worker heat — exported as Prometheus text and
+  JSON-lines snapshots with provenance,
 * opt-in structured tracing: one trace tree per submission, spans nested
   ``service.submit -> service.dispatch -> pool.shard -> engine.align_batch``,
 * the flight recorder: a bounded ring of recent spans/events/deltas,
@@ -78,7 +78,6 @@ for name in (
     "repro_service_submitted_total",
     "repro_batches_formed_total",
     "repro_cache_hit_rate",
-    "repro_kernel_live_fraction",
     "repro_queue_depth",
 ):
     for sample in snapshot.series:

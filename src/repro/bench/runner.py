@@ -432,8 +432,6 @@ def run_service_bench(
         "batches_formed": stats.batches_formed,
         "mean_batch_size": stats.mean_batch_size,
         "cache_hit_rate": stats.cache.hit_rate,
-        "kernel_live_fraction": stats.kernel_live_fraction,
-        "suggested_batch_size": stats.suggested_batch_size,
     }
     if mp_timer is not None:
         rows.append(

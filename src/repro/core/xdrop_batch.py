@@ -16,10 +16,10 @@ mechanisms keep the work proportional to what is alive, without changing a
 single output bit:
 
 **Active-row compaction.**  When the live fraction of the packed rows drops
-below ``compact_threshold``, retired rows are scattered into the result
-arrays and every per-row array is compacted to the survivors (and its
-columns to the longest surviving query); a fractional threshold keeps the
-total copy cost ``O(batch)``.
+below :data:`DEFAULT_COMPACT_THRESHOLD`, retired rows are scattered into
+the result arrays and every per-row array is compacted to the survivors
+(and its columns to the longest surviving query); a fractional threshold
+keeps the total copy cost ``O(batch)``.
 
 **Downsized DP buffers (int16/int32).**  When the largest score the batch
 can produce (``(max_m + max_n) * max|param| + xdrop``) fits, buffers are
@@ -27,16 +27,17 @@ int16 (sentinel ``-2**14``) or int32 (sentinel ``-2**30``); each sentinel
 stays strictly below any reachable cutoff after adding a score, and batches
 that could overflow fall back to int64.
 
-**Column tiling.**  A wide union band is swept in ``tile_width``-column
-tiles that stay cache-resident; maxima, argmaxima and band trims fold
-across tiles with first-occurrence semantics.
+**Column tiling.**  A wide union band is swept in
+:data:`DEFAULT_TILE_WIDTH`-column tiles that stay cache-resident; maxima,
+argmaxima and band trims fold across tiles with first-occurrence
+semantics.
 
 Only the union of the live per-row bands is computed at every step.
 Scores, end positions, cell counts and band traces are bit-identical to
-the scalar reference for every row, and invariant to ``compact_threshold``
-and ``tile_width``.  Pass a :class:`BatchKernelStats` as ``stats`` to
-collect work telemetry; the serving layer derives batch-sizing hints from
-it.
+the scalar reference for every row, whatever the compaction threshold and
+tile width (tests force both through :func:`xdrop_extend_batch`'s
+keyword-only parameters).  Pass a :class:`BatchKernelStats` as ``stats``
+to collect work telemetry.
 """
 
 from __future__ import annotations
@@ -53,10 +54,8 @@ from .scoring import ScoringScheme
 
 __all__ = [
     "BatchKernelStats",
-    "WindowedKernelStats",
     "DEFAULT_COMPACT_THRESHOLD",
     "DEFAULT_TILE_WIDTH",
-    "MAX_SUGGESTED_BATCH_SIZE",
     "xdrop_extend_batch",
 ]
 
@@ -65,11 +64,6 @@ DEFAULT_COMPACT_THRESHOLD = 0.5
 
 #: Column-tile width of the anti-diagonal sweep (cache-friendly tiles).
 DEFAULT_TILE_WIDTH = 2048
-
-#: Absolute ceiling of :meth:`BatchKernelStats.suggested_batch_size` — no
-#: amount of consecutive high-live-fraction windows may walk the hint past
-#: this many extensions per batch.
-MAX_SUGGESTED_BATCH_SIZE = 1024
 
 _NEG64 = np.int64(NEG_INF)
 #: Pruned-cell sentinels: a quarter of each dtype's range, so adding any
@@ -111,15 +105,6 @@ class BatchKernelStats:
     dtype:
         DP buffer dtype chosen by the overflow guard (``int16``/``int32``/
         ``int64``; ``mixed`` after merging sweeps that chose differently).
-    weighted_rows, weighted_live:
-        Row-weighted accumulators of the per-sweep live fraction:
-        ``weighted_rows`` sums the rows of every sweep that recorded one,
-        ``weighted_live`` sums ``per-sweep live fraction × that sweep's
-        rows``.  Their ratio (:attr:`rows_weighted_live_fraction`) weights
-        each *sweep* by how many extensions it carried, so one tiny batch
-        of very long stragglers — few rows, but many anti-diagonal steps —
-        cannot dominate the merged signal the way it skews the raw
-        row-step ratio.
     """
 
     rows: int = 0
@@ -131,8 +116,6 @@ class BatchKernelStats:
     peak_window: int = 0
     cells: int = 0
     dtype: str = ""
-    weighted_rows: int = 0
-    weighted_live: float = 0.0
 
     @property
     def live_fraction(self) -> float:
@@ -140,57 +123,6 @@ class BatchKernelStats:
         if self.row_steps == 0:
             return 1.0
         return self.active_row_steps / self.row_steps
-
-    @property
-    def rows_weighted_live_fraction(self) -> float:
-        """Per-sweep live fractions averaged with *row* weights.
-
-        Falls back to :attr:`live_fraction` for accumulators that never
-        recorded per-sweep detail (e.g. hand-built in tests).
-        """
-        if self.weighted_rows <= 0:
-            return self.live_fraction
-        return self.weighted_live / self.weighted_rows
-
-    @property
-    def padding_row_steps(self) -> int:
-        """Row-steps spent carrying retired rows (what compaction avoids)."""
-        return self.row_steps - self.active_row_steps
-
-    def suggested_batch_size(
-        self, current: int, max_batch_size: int | None = None
-    ) -> int:
-        """Batch-sizing hint for the serving layer's batcher.
-
-        A low live fraction means retirement times are very uneven, so a
-        smaller batch wastes fewer union-window columns and row slots on
-        stragglers; a consistently high live fraction means the batch could
-        grow and amortise per-step overhead further.  The hint is bounded
-        to at most double *current* and never drops below half of it (with
-        an absolute floor of 8).
-
-        The growth side is clamped: the hint never exceeds
-        *max_batch_size* (default ``4 * current``, i.e. four times the
-        configured batch size at the service call sites) nor the absolute
-        cap :data:`MAX_SUGGESTED_BATCH_SIZE` — a controller obeying the
-        hint on repeated high-live windows must converge, not walk the
-        batch size off to infinity.
-
-        The signal is the *rows-weighted* live fraction: each merged
-        sweep contributes in proportion to how many extensions it carried,
-        so one tiny long-running batch cannot flip the hint for a service
-        that mostly forms large well-behaved batches.
-        """
-        if current <= 0 or self.row_steps == 0:
-            return max(current, 1)
-        ceiling = 4 * current if max_batch_size is None else int(max_batch_size)
-        ceiling = max(1, min(ceiling, MAX_SUGGESTED_BATCH_SIZE))
-        fraction = self.rows_weighted_live_fraction
-        if fraction < 0.5:
-            return min(max(8, current // 2), ceiling)
-        if fraction > 0.85:
-            return min(current * 2, ceiling)
-        return min(current, ceiling)
 
     def merge(self, other: "BatchKernelStats") -> "BatchKernelStats":
         """Fold *other* into this accumulator (in place) and return self."""
@@ -202,8 +134,6 @@ class BatchKernelStats:
         self.tiles += other.tiles
         self.peak_window = max(self.peak_window, other.peak_window)
         self.cells += other.cells
-        self.weighted_rows += other.weighted_rows
-        self.weighted_live += other.weighted_live
         if other.dtype:
             self.dtype = other.dtype if not self.dtype else self.dtype
             if other.dtype != self.dtype:
@@ -211,126 +141,19 @@ class BatchKernelStats:
         return self
 
     def to_dict(self) -> dict:
-        """JSON-ready representation (service stats / benchmarks)."""
+        """JSON-ready representation (benchmark entries)."""
         return {
             "rows": self.rows,
             "steps": self.steps,
             "row_steps": self.row_steps,
             "active_row_steps": self.active_row_steps,
             "live_fraction": self.live_fraction,
-            "rows_weighted_live_fraction": self.rows_weighted_live_fraction,
             "compactions": self.compactions,
             "tiles": self.tiles,
             "peak_window": self.peak_window,
             "cells": self.cells,
             "dtype": self.dtype,
         }
-
-
-class WindowedKernelStats:
-    """Ring buffer of the most recent per-batch :class:`BatchKernelStats`.
-
-    The lifetime accumulator the serving layer used to keep answers "what
-    has the kernel done since the process started" — a signal that goes
-    stale the moment traffic shifts, because hours of history outvote the
-    last minute.  A sizing hint needs the opposite: *windowed* telemetry over
-    the last ``window`` batches, so a change in live fraction shows up
-    within a handful of dispatches.
-
-    :meth:`observe` appends one batch's accumulator; properties aggregate
-    over the current window only (via :meth:`merged`), while
-    :attr:`total_batches` still counts every batch ever observed so
-    lifetime throughput accounting stays possible.
-    """
-
-    def __init__(self, window: int = 32) -> None:
-        if window < 1:
-            raise ConfigurationError(
-                f"window must be positive, got {window}"
-            )
-        self.window = int(window)
-        self._entries: list[BatchKernelStats] = []
-        self.total_batches = 0
-
-    def observe(self, stats: BatchKernelStats) -> None:
-        """Append one batch's accumulator (oldest entry falls off)."""
-        self._entries.append(stats)
-        if len(self._entries) > self.window:
-            del self._entries[0]
-        self.total_batches += 1
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def batches(self) -> int:
-        """Batches currently inside the window."""
-        return len(self._entries)
-
-    def merged(self) -> BatchKernelStats:
-        """Fold the window into one fresh accumulator."""
-        merged = BatchKernelStats()
-        for entry in self._entries:
-            merged.merge(entry)
-        return merged
-
-    @property
-    def rows(self) -> int:
-        return sum(e.rows for e in self._entries)
-
-    @property
-    def cells(self) -> int:
-        return sum(e.cells for e in self._entries)
-
-    @property
-    def live_fraction(self) -> float:
-        """Mean live fraction over the window (1.0 when empty)."""
-        row_steps = sum(e.row_steps for e in self._entries)
-        if row_steps == 0:
-            return 1.0
-        active = sum(e.active_row_steps for e in self._entries)
-        return active / row_steps
-
-    @property
-    def rows_weighted_live_fraction(self) -> float:
-        """Rows-weighted live fraction over the window."""
-        return self.merged().rows_weighted_live_fraction
-
-    def suggested_batch_size(
-        self, current: int, max_batch_size: int | None = None
-    ) -> int:
-        """The windowed version of the batch-sizing hint."""
-        return self.merged().suggested_batch_size(
-            current, max_batch_size=max_batch_size
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready representation (windowed aggregate + window meta)."""
-        payload = self.merged().to_dict()
-        payload["window"] = self.window
-        payload["window_batches"] = self.batches
-        payload["total_batches"] = self.total_batches
-        return payload
-
-
-def _resolve_tuning(
-    compact_threshold: float | None, tile_width: int | None
-) -> tuple[float, int]:
-    """Validate and default the kernel tuning knobs."""
-    threshold = (
-        DEFAULT_COMPACT_THRESHOLD
-        if compact_threshold is None
-        else float(compact_threshold)
-    )
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigurationError(
-            f"compact_threshold must be in [0.0, 1.0] (0 disables compaction), "
-            f"got {compact_threshold}"
-        )
-    width = DEFAULT_TILE_WIDTH if tile_width is None else int(tile_width)
-    if width < 1:
-        raise ConfigurationError(f"tile_width must be positive, got {tile_width}")
-    return threshold, width
 
 
 def _select_dtype(max_m: int, max_n: int, scoring: ScoringScheme, xdrop: int):
@@ -379,8 +202,8 @@ def xdrop_extend_batch(
     xdrop: int = 100,
     trace: bool = False,
     *,
-    compact_threshold: float | None = None,
-    tile_width: int | None = None,
+    compact_threshold: float = DEFAULT_COMPACT_THRESHOLD,
+    tile_width: int = DEFAULT_TILE_WIDTH,
     stats: BatchKernelStats | None = None,
 ) -> list[ExtensionResult]:
     """X-drop-extend every (query, target) pair of a batch simultaneously.
@@ -402,13 +225,11 @@ def xdrop_extend_batch(
         the GPU execution model).
     compact_threshold:
         Live fraction below which retired rows are physically compacted
-        away (``0`` disables compaction; default
-        :data:`DEFAULT_COMPACT_THRESHOLD`).  Tuning knob only — results
-        are invariant to it.
+        away (``0`` disables compaction).  Results are invariant to it;
+        only tests pass a value other than the default.
     tile_width:
-        Column-tile width of the per-step sweep (default
-        :data:`DEFAULT_TILE_WIDTH`).  Tuning knob only — results are
-        invariant to it.
+        Column-tile width of the per-step sweep.  Results are invariant to
+        it; only tests pass a value other than the default.
     stats:
         Optional :class:`BatchKernelStats` accumulator updated in place
         with the sweep's work telemetry.
@@ -421,7 +242,13 @@ def xdrop_extend_batch(
     """
     if xdrop < 0:
         raise ConfigurationError(f"X-drop threshold must be non-negative, got {xdrop}")
-    compact_threshold, tile_width = _resolve_tuning(compact_threshold, tile_width)
+    if not 0.0 <= compact_threshold <= 1.0:
+        raise ConfigurationError(
+            f"compact_threshold must be in [0.0, 1.0] (0 disables compaction), "
+            f"got {compact_threshold}"
+        )
+    if tile_width < 1:
+        raise ConfigurationError(f"tile_width must be positive, got {tile_width}")
     scoring = scoring if scoring is not None else ScoringScheme()
     if not pairs:
         return []
@@ -488,9 +315,6 @@ def xdrop_extend_batch(
     if stats is not None:
         stats.rows += batch
         stats.dtype = stats.dtype or np.dtype(dtype).name
-        # Snapshot for the per-sweep rows-weighted live fraction below.
-        sweep_row_steps0 = stats.row_steps
-        sweep_active0 = stats.active_row_steps
 
     for d in range(1, last_diag + 1):
         # Per-row band of anti-diagonal d: matrix bounds clipped by the rows
@@ -683,16 +507,6 @@ def xdrop_extend_batch(
     out_early[row_ids] = early
     if stats is not None:
         stats.cells += int(out_cells.sum())
-        # Per-sweep live fraction, weighted by the rows this sweep carried:
-        # the aggregation signal suggested_batch_size acts on (a tiny batch
-        # contributes little weight regardless of how long it stepped).
-        sweep_row_steps = stats.row_steps - sweep_row_steps0
-        sweep_active = stats.active_row_steps - sweep_active0
-        sweep_fraction = (
-            sweep_active / sweep_row_steps if sweep_row_steps > 0 else 1.0
-        )
-        stats.weighted_rows += batch
-        stats.weighted_live += sweep_fraction * batch
 
     results: list[ExtensionResult] = []
     for k in range(batch):

@@ -32,7 +32,6 @@ from .engines import (
     ReferenceEngine,
     SeqAnEngine,
     VectorizedEngine,
-    WavefrontEngine,
 )
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "ReferenceEngine",
     "VectorizedEngine",
     "BatchedEngine",
-    "WavefrontEngine",
     "SeqAnEngine",
     "Ksw2Engine",
     "LoganEngine",

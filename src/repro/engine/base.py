@@ -267,9 +267,7 @@ def describe_engines() -> list[dict[str, Any]]:
 
     Each row carries the registered ``name``, the factory's ``exact`` flag
     (``None`` when the factory does not declare one, e.g. a plain callable),
-    ``work_exact`` (whether work accounting and band traces are also
-    bit-identical to the reference; defaults to the ``exact`` flag when the
-    factory does not declare it), ``available``/``reason`` (optional-
+    ``available``/``reason`` (optional-
     dependency status) and the first line of its docstring as a
     human-readable ``summary``.  Introspection only — no engine is
     instantiated.
@@ -279,12 +277,10 @@ def describe_engines() -> list[dict[str, Any]]:
         entry = _REGISTRY[name]
         factory = entry.factory
         doc = inspect.getdoc(factory) or ""
-        exact = getattr(factory, "exact", None)
         rows.append(
             {
                 "name": name,
-                "exact": exact,
-                "work_exact": getattr(factory, "work_exact", exact),
+                "exact": getattr(factory, "exact", None),
                 "available": entry.available,
                 "reason": entry.reason,
                 "summary": doc.splitlines()[0] if doc else "",

@@ -1,6 +1,6 @@
 """Concrete alignment engines wrapping every aligner in the library.
 
-Seven engines ship with the package (names as registered):
+Six engines ship with the package (names as registered):
 
 ==============  =====================================================  ======
 name            implementation                                         exact
@@ -12,9 +12,6 @@ name            implementation                                         exact
                 (:mod:`repro.core.xdrop_native`); the numpy batched
                 sweep when no C compiler is available
                 (:func:`repro.core.xdrop_batch.xdrop_extend_batch`)    yes
-``wavefront``   WFA-style furthest-reaching-point extension, unit
-                scoring only
-                (:func:`repro.core.wavefront.wavefront_extend_batch`)  yes*
 ``seqan``       SeqAn-like CPU batch runner + POWER9 platform model    yes
 ``ksw2``        ksw2-style affine Z-drop runner + Skylake model        no
 ``logan``       the ``batched`` kernel's one traced sweep, annotated
@@ -22,19 +19,15 @@ name            implementation                                         exact
                 (:class:`repro.logan.LoganAligner`)                     yes
 ==============  =====================================================  ======
 
-``batched``, ``wavefront`` and ``logan`` share one batch path,
-:func:`repro.logan.kernel.extend_seed_batch`: seed split, one pair-kernel
-call over every non-empty side, and the left + seed + right join.  They
-differ only in the pair kernel; ``batched`` and ``logan`` share that too
-(:func:`repro.logan.kernel.extend_pairs_batched`).
+``batched`` and ``logan`` share one batch path,
+:func:`repro.logan.kernel.extend_seed_batch` (seed split, one pair-kernel
+call over every non-empty side, and the left + seed + right join), and one
+pair kernel, :func:`repro.logan.kernel.extend_pairs_batched`.
 
-"exact" engines return scores, end positions and work accounting identical
-to :func:`repro.core.xdrop.xdrop_extend_reference` on every job; the parity
-test-suite enforces this.  ``wavefront`` (*) is exact on scores, end
-positions and early-termination but computes in cost space, so its
-cells/anti-diagonal accounting is an honest estimate of the equivalent DP
-work rather than a bit-identical replay (``work_exact = False``).  All
-constructors share the ``(scoring, xdrop, workers, trace)`` signature so
+"exact" engines return scores, end positions, work accounting and band
+traces identical to :func:`repro.core.xdrop.xdrop_extend_reference` on
+every job; the parity test-suite enforces this.  All constructors share the
+``(scoring, xdrop, workers, trace)`` signature so
 :func:`repro.engine.get_engine` can build any of them uniformly; engines
 that cannot use an option accept and ignore it (documented per class).
 """
@@ -50,7 +43,6 @@ from ..core.job import AlignmentJob, summarize_results
 from ..core.result import ExtensionResult, SeedAlignmentResult
 from ..core.scoring import AffineScoringScheme, ScoringScheme
 from ..core.seed_extend import extend_seed
-from ..core.wavefront import ensure_unit_scoring, wavefront_extend_batch
 from ..core.xdrop import xdrop_extend_reference
 from ..core.xdrop_batch import BatchKernelStats
 from ..core.xdrop_vectorized import xdrop_extend
@@ -68,7 +60,6 @@ __all__ = [
     "ReferenceEngine",
     "VectorizedEngine",
     "BatchedEngine",
-    "WavefrontEngine",
     "SeqAnEngine",
     "Ksw2Engine",
     "LoganEngine",
@@ -134,23 +125,6 @@ class _EngineBase:
     ) -> EngineBatchResult:
         raise NotImplementedError  # pragma: no cover - abstract
 
-    def _seed_batch(
-        self, jobs, scoring, xdrop, pair_kernel, **extras
-    ) -> EngineBatchResult:
-        """Time one :func:`extend_seed_batch` run of *pair_kernel* over *jobs*."""
-        timer = Timer()
-        with timer:
-            results = extend_seed_batch(
-                jobs, scoring, xdrop, pair_kernel, trace=self.trace
-            )
-        return EngineBatchResult(
-            engine=self.name,
-            results=results,
-            summary=summarize_results(results),
-            elapsed_seconds=timer.elapsed,
-            extras=extras,
-        )
-
     def _observe_batch(
         self, ob, result: EngineBatchResult, jobs: int
     ) -> None:
@@ -184,10 +158,10 @@ class _EngineBase:
             ).inc(stats.compactions, kernel=kernel)
             reg.histogram(
                 "repro_kernel_live_fraction",
-                "rows-weighted live fraction per batch call",
+                "live fraction per batch call",
                 ("kernel",),
                 buckets=LIVE_FRACTION_BUCKETS,
-            ).observe(stats.rows_weighted_live_fraction, kernel=kernel)
+            ).observe(stats.live_fraction, kernel=kernel)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(xdrop={self.xdrop})"
@@ -246,29 +220,13 @@ class BatchedEngine(_EngineBase):
     split across threads (scores and traces are unaffected).  Without a C
     compiler one numpy batched sweep runs instead.
 
-    ``compact_threshold`` and ``tile_width`` tune the numpy sweep's
-    active-row compaction and column tiling (see
-    :func:`repro.core.xdrop_batch.xdrop_extend_batch`); results are
-    invariant to both.  Every run attaches the kernel's
+    Every run attaches the kernel's
     :class:`~repro.core.xdrop_batch.BatchKernelStats` telemetry to the
-    batch result as ``extras["kernel_stats"]`` — the serving layer reads
-    it for batch-sizing hints.
+    batch result as ``extras["kernel_stats"]``; the worker pools merge it
+    across shards and benchmarks read it.
     """
 
     name = "batched"
-
-    def __init__(
-        self,
-        scoring: ScoringScheme | None = None,
-        xdrop: int = 100,
-        workers: int = 1,
-        trace: bool = False,
-        compact_threshold: float | None = None,
-        tile_width: int | None = None,
-    ) -> None:
-        super().__init__(scoring=scoring, xdrop=xdrop, workers=workers, trace=trace)
-        self.compact_threshold = compact_threshold
-        self.tile_width = tile_width
 
     def _align_batch(
         self,
@@ -282,55 +240,20 @@ class BatchedEngine(_EngineBase):
             extend_pairs_batched,
             workers=self.workers,
             trace=self.trace,
-            compact_threshold=self.compact_threshold,
-            tile_width=self.tile_width,
             stats=stats,
         )
-        return self._seed_batch(jobs, scoring, xdrop, pair_kernel, kernel_stats=stats)
-
-
-class WavefrontEngine(_EngineBase):
-    """WFA-style furthest-reaching-point X-drop extension (unit scoring only).
-
-    Runs :func:`repro.core.wavefront.wavefront_extend_batch`: snake-walking
-    furthest-reaching points per (cost, diagonal) instead of sweeping DP
-    anti-diagonals, so work scales with accumulated *cost* rather than
-    sequence length — on high-identity reads this removes almost all of the
-    anti-diagonal stepping (it still runs in Python, unlike ``batched``'s
-    C kernel).
-
-    Exact on scores, end positions and early-termination for the unit
-    scheme (match=+1, mismatch=-1, gap=-1) only; any other scheme raises
-    :class:`ConfigurationError` at construction and on per-call overrides.
-    Cost-space execution has no per-anti-diagonal band, so cells /
-    anti-diagonal accounting is an honest equivalent-work estimate
-    (``work_exact = False``).  ``workers`` is accepted for signature
-    uniformity and ignored.
-    """
-
-    name = "wavefront"
-    work_exact = False
-
-    def __init__(
-        self,
-        scoring: ScoringScheme | None = None,
-        xdrop: int = 100,
-        workers: int = 1,
-        trace: bool = False,
-    ) -> None:
-        super().__init__(scoring=scoring, xdrop=xdrop, workers=workers, trace=trace)
-        ensure_unit_scoring(self.scoring)
-
-    def _align_batch(
-        self,
-        jobs: Sequence[AlignmentJob],
-        scoring: ScoringScheme | None = None,
-        xdrop: int | None = None,
-    ) -> EngineBatchResult:
-        scoring, xdrop = self._resolve(scoring, xdrop)
-        ensure_unit_scoring(scoring)
-        pair_kernel = partial(wavefront_extend_batch, trace=self.trace)
-        return self._seed_batch(jobs, scoring, xdrop, pair_kernel)
+        timer = Timer()
+        with timer:
+            results = extend_seed_batch(
+                jobs, scoring, xdrop, pair_kernel, trace=self.trace
+            )
+        return EngineBatchResult(
+            engine=self.name,
+            results=results,
+            summary=summarize_results(results),
+            elapsed_seconds=timer.elapsed,
+            extras={"kernel_stats": stats},
+        )
 
 
 class SeqAnEngine(_EngineBase):
@@ -526,7 +449,6 @@ class LoganEngine(_EngineBase):
 register_engine("reference", ReferenceEngine)
 register_engine("vectorized", VectorizedEngine)
 register_engine("batched", BatchedEngine)
-register_engine("wavefront", WavefrontEngine)
 register_engine("seqan", SeqAnEngine)
 register_engine("ksw2", Ksw2Engine)
 register_engine("logan", LoganEngine)

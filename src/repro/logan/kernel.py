@@ -13,8 +13,8 @@ runs only when the C kernel cannot be built.
 :func:`extend_seed_batch` is the library's single batch seed-extension
 path: host preprocessing, one pair-kernel call over the non-empty sides,
 zero-score placeholders for seed-flush sides, and the left + seed + right
-join.  The ``batched``, ``wavefront`` and ``logan`` engines all run
-through it, each with its own pair kernel.
+join.  The ``batched`` and ``logan`` engines both run it with
+:func:`extend_pairs_batched` as the pair kernel.
 
 The kernel is *functionally exact*: the scores and end positions it returns
 are the library's single source of truth and are identical to the scalar
@@ -74,8 +74,6 @@ def extend_pairs_batched(
     *,
     workers: int = 1,
     trace: bool = True,
-    compact_threshold: float | None = None,
-    tile_width: int | None = None,
     stats: BatchKernelStats | None = None,
 ) -> list[ExtensionResult]:
     """The batched pair kernel of the ``batched`` and ``logan`` engines.
@@ -83,9 +81,9 @@ def extend_pairs_batched(
     Runs the C kernel (:mod:`repro.core.xdrop_native`, built on the first
     call) whenever it loaded; with ``workers > 1`` the packed batch is split
     across that many threads.  Only when the C kernel cannot be built does
-    one numpy sweep (:func:`repro.core.xdrop_batch.xdrop_extend_batch`)
-    run instead; ``compact_threshold`` / ``tile_width`` tune that sweep
-    alone.  Results are identical either way.
+    one numpy sweep (:func:`repro.core.xdrop_batch.xdrop_extend_batch`,
+    with its default compaction and tiling) run instead.  Results are
+    identical either way.
 
     ``stats``, when given, collects the call's
     :class:`~repro.core.xdrop_batch.BatchKernelStats`.  The C kernel pads
@@ -95,13 +93,7 @@ def extend_pairs_batched(
     native = native_kernel()
     if not native.available:
         return xdrop_extend_batch(
-            pairs,
-            scoring=scoring,
-            xdrop=xdrop,
-            trace=trace,
-            compact_threshold=compact_threshold,
-            tile_width=tile_width,
-            stats=stats,
+            pairs, scoring=scoring, xdrop=xdrop, trace=trace, stats=stats
         )
     results = native.extend(
         pairs, scoring, xdrop, trace=trace, threads=available_workers(workers)

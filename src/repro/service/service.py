@@ -29,7 +29,6 @@ from typing import Iterable, Sequence
 
 from .._compat import warn_once
 from ..core.job import AlignmentJob
-from ..core.xdrop_batch import WindowedKernelStats
 from ..core.result import SeedAlignmentResult
 from ..core.scoring import ScoringScheme
 from ..engine import get_engine
@@ -68,14 +67,6 @@ class ServiceStats:
         the resulting GCUPS (0.0 before any work ran).
     workers:
         Per-shard accounting (batches, jobs, cells, seconds).
-    kernel_live_fraction:
-        Mean live-row fraction reported by the batched kernel's compaction
-        telemetry over the recent-batch window (``None`` until an engine
-        reports kernel stats).
-    suggested_batch_size:
-        Batch-sizing hint derived from that windowed telemetry: the
-        ``max_batch_size`` the compaction stats suggest the batcher should
-        target (``None`` without kernel stats).
     prefilter_mode, prefilter_decisions:
         Admission triage mode (``"off"``/``"advise"``/``"enforce"``) and
         the per-outcome decision counts (empty when the prefilter is off).
@@ -92,8 +83,6 @@ class ServiceStats:
     busy_seconds: float = 0.0
     throughput_gcups: float = 0.0
     workers: list[WorkerStats] = field(default_factory=list)
-    kernel_live_fraction: float | None = None
-    suggested_batch_size: int | None = None
     prefilter_mode: str = "off"
     prefilter_decisions: dict = field(default_factory=dict)
 
@@ -132,8 +121,6 @@ class ServiceStats:
                 }
                 for w in self.workers
             ],
-            "kernel_live_fraction": self.kernel_live_fraction,
-            "suggested_batch_size": self.suggested_batch_size,
             "prefilter_mode": self.prefilter_mode,
             "prefilter_decisions": dict(self.prefilter_decisions),
         }
@@ -307,23 +294,11 @@ class AlignmentService:
         self._busy_c = self.obs.counter(
             "repro_service_busy_seconds_total", "wall seconds inside pool batches"
         )
-        self._live_fraction_g = self.obs.gauge(
-            "repro_kernel_live_fraction",
-            "rows-weighted live fraction of the batched kernel (accumulated)",
-        )
-        self._suggested_batch_g = self.obs.gauge(
-            "repro_kernel_suggested_batch_size",
-            "batch-size hint derived from kernel compaction telemetry",
-        )
         self._prefilter_c = self.obs.counter(
             "repro_prefilter_decisions_total",
             "admission triage decisions, by outcome",
             labelnames=("outcome",),
         )
-        # Windowed compaction telemetry over the most recent batches — the
-        # signal the stats() hints read.  A lifetime accumulator would let
-        # hours-old traffic outvote the last minute.
-        self._kernel_stats = WindowedKernelStats()
         self.crash_dump_path = None  # optional JSON path for crash dumps
         self.last_crash_dump: dict | None = None
         self._recovered_c = self.obs.counter(
@@ -499,19 +474,6 @@ class AlignmentService:
             self._cells_c.inc(run.summary.cells)
             self._busy_c.inc(run.elapsed_seconds)
             self._completed_c.inc(batch.size)
-            kernel_stats = run.extras.get("kernel_stats")
-            if kernel_stats is not None:
-                # Windowed compaction telemetry: stats() turns it into
-                # the batch-sizing hint.
-                self._kernel_stats.observe(kernel_stats)
-                self._live_fraction_g.set(
-                    self._kernel_stats.rows_weighted_live_fraction
-                )
-                self._suggested_batch_g.set(
-                    self._kernel_stats.suggested_batch_size(
-                        self.policy.max_batch_size
-                    )
-                )
             for ticket, result in zip(batch.tickets, run.results):
                 self.cache.put(ticket.cache_key, result)
         for ticket, result in zip(batch.tickets, run.results):
@@ -641,7 +603,6 @@ class AlignmentService:
         the same series :meth:`metrics_snapshot` exports.
         """
         with self._lock:
-            kernel_stats = self._kernel_stats
             cells = int(self._cells_c.value())
             busy = self._busy_c.value()
             return ServiceStats(
@@ -656,16 +617,6 @@ class AlignmentService:
                 busy_seconds=busy,
                 throughput_gcups=gcups(cells, busy),
                 workers=list(self.pool.worker_stats),
-                kernel_live_fraction=(
-                    kernel_stats.live_fraction
-                    if kernel_stats.total_batches > 0
-                    else None
-                ),
-                suggested_batch_size=(
-                    kernel_stats.suggested_batch_size(self.policy.max_batch_size)
-                    if kernel_stats.total_batches > 0
-                    else None
-                ),
                 prefilter_mode=self.prefilter_mode,
                 prefilter_decisions=(
                     {

@@ -170,8 +170,8 @@ class ShardedWorkerPool:
                 self._shard_cells.inc(batch.summary.cells, shard=shard)
                 self._shard_seconds.inc(batch.elapsed_seconds, shard=shard)
             # Fold per-shard kernel telemetry into one fresh accumulator
-            # (never mutate the engine-owned stats object); the service
-            # consumes it from the run's extras for batch-sizing hints.
+            # (never mutate the engine-owned stats object); benchmarks read
+            # it from the run's extras.
             shard_stats = batch.extras.get("kernel_stats")
             if shard_stats is not None:
                 if kernel_stats is None:

@@ -1,7 +1,7 @@
 """Differential conformance harness: every engine vs the scalar oracle.
 
 The library's central correctness claim — every *exact* engine returns
-scores, extents and work accounting bit-identical to
+scores, extents, work accounting and band traces bit-identical to
 :func:`repro.core.xdrop.xdrop_extend_reference` — is turned into an
 executable artifact here.  A :class:`ConformanceRunner` replays any batch
 of jobs through:
@@ -63,16 +63,6 @@ _EXTENSION_FIELDS = (
     "target_end",
     "anti_diagonals",
     "cells_computed",
-    "terminated_early",
-)
-
-#: The semantic subset checked for exact engines whose *work accounting*
-#: is an estimate rather than a DP replay (``work_exact = False`` in the
-#: registry, e.g. the cost-space wavefront engine).
-_CORE_EXTENSION_FIELDS = (
-    "best_score",
-    "query_end",
-    "target_end",
     "terminated_early",
 )
 
@@ -248,28 +238,24 @@ def compare_results(
     expected: SeedAlignmentResult,
     actual: SeedAlignmentResult,
     trace: bool = False,
-    work_exact: bool = True,
 ) -> list[FieldMismatch]:
     """Field-by-field bit-identity check of two seed-alignment results.
 
-    With ``work_exact=False`` the per-extension comparison is restricted to
-    the semantic fields (score, extents, early termination) and band traces
-    are not compared — the contract of exact engines whose work accounting
-    is an estimate (see :func:`repro.engine.describe_engines`).
+    Every per-extension field is compared, and with ``trace`` on the band
+    traces too.
     """
     mismatches: list[FieldMismatch] = []
     for name in _RESULT_FIELDS:
         exp, act = getattr(expected, name), getattr(actual, name)
         if int(exp) != int(act):
             mismatches.append(FieldMismatch(name, int(exp), int(act)))
-    extension_fields = _EXTENSION_FIELDS if work_exact else _CORE_EXTENSION_FIELDS
     for side in ("left", "right"):
         exp_ext, act_ext = getattr(expected, side), getattr(actual, side)
-        for name in extension_fields:
+        for name in _EXTENSION_FIELDS:
             exp, act = getattr(exp_ext, name), getattr(act_ext, name)
             if bool(exp != act):
                 mismatches.append(FieldMismatch(f"{side}.{name}", exp, act))
-        if trace and work_exact:
+        if trace:
             exp_bw, act_bw = exp_ext.band_widths, act_ext.band_widths
             same = (exp_bw is None) == (act_bw is None) and (
                 exp_bw is None or np.array_equal(exp_bw, act_bw)
@@ -391,12 +377,6 @@ class ConformanceRunner:
         # exactness (``exact`` is None) gets the weaker determinism check.
         exact = {row["name"]: row["exact"] for row in describe_engines()}
         return bool(exact.get(name))
-
-    def _is_work_exact(self, name: str) -> bool:
-        # Whether the engine's work accounting / band traces are also
-        # bit-identical (restricts the compared fields when not).
-        rows = {row["name"]: row["work_exact"] for row in describe_engines()}
-        return bool(rows.get(name))
 
     def _oracle_results(self, jobs: Sequence[AlignmentJob]) -> list[SeedAlignmentResult]:
         return self._build(ORACLE_ENGINE).align_batch(list(jobs)).results
@@ -579,10 +559,9 @@ class ConformanceRunner:
         ):
             return
         trace = self.config.trace
-        work_exact = self._is_work_exact(name)
         for index, (exp, act) in enumerate(zip(oracle, results)):
             report.comparisons += 1
-            mismatches = compare_results(exp, act, trace=trace, work_exact=work_exact)
+            mismatches = compare_results(exp, act, trace=trace)
             if not mismatches:
                 continue
 
@@ -592,7 +571,7 @@ class ConformanceRunner:
                 if len(act_b) != len(exp_b):
                     return 0, [FieldMismatch("result_count", len(exp_b), len(act_b))]
                 for i, (e, a) in enumerate(zip(exp_b, act_b)):
-                    found = compare_results(e, a, trace=trace, work_exact=work_exact)
+                    found = compare_results(e, a, trace=trace)
                     if found:
                         return i, found
                 return None
@@ -650,7 +629,6 @@ class ConformanceRunner:
             not self.config.engine_options
             and self.config.bandwidth is None
             and self._is_exact(self.config.engine)
-            and self._is_work_exact(self.config.engine)
         ):
             return oracle
         if self._config_engine is None:

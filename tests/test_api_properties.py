@@ -24,10 +24,8 @@ from repro.errors import ConfigurationError
 
 _ENGINES = list_engines()
 #: Engines the build-the-config tests can construct with *arbitrary*
-#: scoring: available (optional deps present) and scoring-agnostic —
-#: wavefront is unit-scoring-only, so its build round-trip is covered by
-#: the dedicated wavefront tests instead.
-_BUILDABLE_ENGINES = [n for n in available_engines() if n != "wavefront"]
+#: scoring: the available ones (optional deps present).
+_BUILDABLE_ENGINES = available_engines()
 
 scorings = st.builds(
     ScoringScheme,

@@ -163,6 +163,28 @@ class TestBaselineStore:
         service = BaselineStore("BENCH_service.json").load()
         assert service and service[0].timestamp == "legacy"
 
+    def test_service_entries_with_the_deleted_batch_hint_still_gate(self, tmp_path):
+        """Entries recorded with the dropped hint extras load and still gate.
+
+        ``kernel_live_fraction`` / ``suggested_batch_size`` left the service
+        extras; a fresh entry without them must still find (and compare
+        against) a stored entry that carries them.
+        """
+        stored = [
+            entry
+            for entry in BaselineStore("BENCH_service.json").load()
+            if "suggested_batch_size" in entry.extra
+        ]
+        assert stored, "the committed trajectory predates the removal"
+        store = BaselineStore(tmp_path / "BENCH_service.json")
+        store.append(stored[-1])
+        restored = store.load()[-1]
+        assert restored.extra["kernel_live_fraction"] is not None
+        fresh = BenchEntry.from_dict(restored.to_dict())
+        del fresh.extra["kernel_live_fraction"], fresh.extra["suggested_batch_size"]
+        assert store.latest_matching(fresh) is not None
+        assert compare(fresh, restored, tolerance=0.1).ok
+
 
 # --------------------------------------------------------------------------- #
 # Regression gate
@@ -269,7 +291,7 @@ class TestRunnersAndCli:
     def test_engine_runner_profile_workload(self):
         entry = run_engine_bench(
             pairs=3,
-            engines=["reference", "wavefront"],
+            engines=["reference", "batched"],
             seed=7,
             profile="pacbio",
             min_length=60,
@@ -278,7 +300,7 @@ class TestRunnersAndCli:
         )
         assert entry.profile == "pacbio"
         assert entry.extra["workload"]["min_length"] == 60
-        assert entry.row("wavefront").scores_identical_to_reference
+        assert entry.row("batched").scores_identical_to_reference
 
     def test_engine_runner_rejects_workload_knobs_without_profile(self):
         with pytest.raises(ConfigurationError, match="profile"):
@@ -287,7 +309,7 @@ class TestRunnersAndCli:
     def test_cli_perf_missing_baseline_message_and_strict(self, tmp_path, capsys):
         baseline = tmp_path / "engines.json"
         args = [
-            "--pairs", "3", "--engines", "reference", "wavefront",
+            "--pairs", "3", "--engines", "reference", "batched",
             "--profile", "ont", "--baseline", str(baseline), "--seed", "7",
         ]
         # No baseline for this series yet: explain, exit 0 by default.
@@ -307,18 +329,18 @@ class TestRunnersAndCli:
         baseline = tmp_path / "engines.json"
         common = ["--pairs", "3", "--baseline", str(baseline), "--seed", "7"]
         assert main_bench_perf(
-            common + ["--engines", "reference", "batched", "--record"]
+            common + ["--engines", "reference", "vectorized", "--record"]
         ) == 0
         capsys.readouterr()
-        # Same series, new engine: the entry matches but the wavefront row
+        # Same series, new engine: the entry matches but the batched row
         # has no baseline — say so per engine; only --strict gates on it.
         args = common + [
-            "--engines", "reference", "batched", "wavefront",
+            "--engines", "reference", "vectorized", "batched",
             "--tolerance", "0.99",
         ]
         assert main_bench_perf(args) == 0
         out = capsys.readouterr().out
-        assert "engine 'wavefront'" in out and "no baseline recorded" in out
+        assert "engine 'batched'" in out and "no baseline recorded" in out
         assert main_bench_perf(args + ["--strict"]) == 1
 
     def test_cli_perf_artifact_and_json(self, tmp_path, capsys):
@@ -366,4 +388,5 @@ class TestBenchmarkSmoke:
         assert rows["service"].scores_identical_to_reference
         assert rows["service_resubmit"].scores_identical_to_reference
         assert entry.extra["cache_hit_rate"] > 0
-        assert entry.extra["kernel_live_fraction"] is not None
+        assert "kernel_live_fraction" not in entry.extra
+        assert "suggested_batch_size" not in entry.extra

@@ -8,6 +8,8 @@ positions to the scalar reference oracle.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,17 @@ class TestRegistry:
     def test_get_engine_unknown_name(self):
         with pytest.raises(ConfigurationError, match="unknown engine"):
             get_engine("does-not-exist")
+
+    def test_wavefront_engine_is_gone(self):
+        # The deleted cost-space engine is an unknown name like any other;
+        # the error lists the engines that remain.
+        with pytest.raises(
+            ConfigurationError, match="unknown engine 'wavefront'; available: "
+        ) as info:
+            get_engine("wavefront")
+        available = str(info.value).split("available: ")[1].split(", ")
+        assert BUNDLED_ENGINES <= set(available)
+        assert "wavefront" not in available
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigurationError, match="already registered"):
@@ -197,6 +210,17 @@ class TestConsumersRouteThroughEngines:
             LoganAligner.from_config(config)
         with pytest.raises(TypeError):
             LoganAligner(engine="batched")
+
+    @pytest.mark.parametrize("option", ["compact_threshold", "tile_width"])
+    def test_batched_rejects_the_removed_kernel_knobs(self, option):
+        # The numpy fallback's tuning knobs are no engine options any more.
+        config = AlignConfig(engine="batched", engine_options={option: 1})
+        accepted = "accepted: scoring, trace, workers, xdrop"
+        with pytest.raises(
+            ConfigurationError,
+            match=re.escape(f"'{option}' not accepted by engine 'batched'; {accepted}"),
+        ):
+            engine_from_config(config)
 
     def test_bella_pipeline_accepts_engine_name(self, make_rng):
         reads = self._overlapping_reads(make_rng)

@@ -81,7 +81,6 @@ class TestServiceInstrumentation:
             "repro_cache_hit_rate",
             "repro_worker_busy_seconds_total",
             "repro_service_cells_total",
-            "repro_kernel_live_fraction",
         ):
             assert required in names, f"missing {required}"
         # Per-shard heat carries the shard label.
@@ -190,12 +189,6 @@ class TestEngineInstrumentation:
         obs.configure(tracing=True, flight_recorder=True)
         traced = get_engine("batched", xdrop=20).align_batch(small_jobs).scores()
         assert traced == baseline
-
-    def test_wavefront_kernel_emits(self, small_jobs):
-        get_engine("wavefront", xdrop=20).align_batch(small_jobs)
-        snap = obs.get_observability().registry.snapshot()
-        assert snap.value("repro_kernel_batches_total", kernel="wavefront") >= 1.0
-        assert snap.value("repro_kernel_cells_total", kernel="wavefront") > 0.0
 
 
 # --------------------------------------------------------------------------- #

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.api import AlignConfig
 from repro.bella import BellaPipeline
 from repro.core import ScoringScheme, Seed
 from repro.core.job import AlignmentJob
@@ -26,6 +27,7 @@ from repro.service import (
     AlignmentTicket,
     BatchPolicy,
     ResultCache,
+    ServiceStats,
     ShardedWorkerPool,
     SubmissionQueue,
     job_cache_key,
@@ -414,6 +416,18 @@ class TestAlignmentServiceEndToEnd:
         assert payload["throughput_gcups"] >= 0
         assert len(payload["workers"]) == 2
         service.shutdown()
+
+    def test_stats_carry_no_batch_size_hint(self):
+        # The kernel-telemetry batch-size hint had no reader and is gone,
+        # from the snapshot and from the service's metrics registry.
+        hint_keys = {"kernel_live_fraction", "suggested_batch_size"}
+        assert not hint_keys & set(ServiceStats().to_dict())
+        with AlignmentService(config=AlignConfig(engine="batched")) as service:
+            service.map(mixed_jobs(num_pairs=4, rng_seed=23))
+            assert not hint_keys & set(service.stats().to_dict())
+            names = service.metrics_snapshot().names()
+        assert "repro_kernel_suggested_batch_size" not in names
+        assert "repro_kernel_live_fraction" not in names
 
     def test_inline_overflow_drains_instead_of_deadlocking(self):
         # Inline mode has no background consumer, so a full queue must

@@ -53,7 +53,6 @@ def test_ksw2_engine_rejects_short_kernel_results(jobs, monkeypatch):
 #: Where each batch engine gets its per-extension results from.
 PAIR_KERNELS = {
     "batched": "repro.engine.engines.extend_pairs_batched",
-    "wavefront": "repro.engine.engines.wavefront_extend_batch",
     "logan": "repro.logan.batch.extend_pairs_batched",
 }
 

@@ -1,13 +1,16 @@
-"""Differential tests of the compacting/tiled batched X-drop kernel.
+"""Differential tests of the compacting/tiled numpy batched X-drop kernel.
 
-The PR-5 hot-path overhaul (active-row compaction, int16/int32 downsizing,
-column tiling) must be invisible in every output bit: these tests replay
-workload-bank profiles through the :class:`repro.testing.ConformanceRunner`
-against the scalar oracle (tier-1 subset here, the full matrix under the
-``tier2`` marker), assert invariance of the results to the tuning knobs
-(including a Hypothesis sweep over random thresholds/tile widths), and pin
-the short-circuit behaviour for fully-retired rows on the ``degenerate``
-profile.
+The numpy kernel (:func:`repro.core.xdrop_batch.xdrop_extend_batch`) is the
+pair kernel only on hosts without a C compiler, so these tests call it
+directly rather than through the ``batched`` engine, which would run the C
+kernel wherever ``cc`` exists.  Active-row compaction, int16/int32
+downsizing and column tiling must be invisible in every output bit: each
+workload-bank profile's seed-extension sides are swept with the default
+knobs (tier-1, all profiles) and with forced knobs (the full matrix under
+the ``tier2`` marker) and compared against the scalar reference, band
+traces included.  A Hypothesis sweep asserts invariance to random
+thresholds/tile widths, and the short-circuit of fully-retired rows is
+pinned on the ``degenerate`` profile.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import AlignConfig
 from repro.core import ScoringScheme
 from repro.core.xdrop import xdrop_extend_reference
 from repro.core.xdrop_batch import (
@@ -26,14 +28,13 @@ from repro.core.xdrop_batch import (
     BatchKernelStats,
     xdrop_extend_batch,
 )
-from repro.engine import get_engine, register_engine, unregister_engine
-from repro.engine.engines import BatchedEngine
+from repro.engine import get_engine
 from repro.errors import ConfigurationError
-from repro.testing import ConformanceRunner
+from repro.logan.host import prepare_batch
 from repro.workloads import WorkloadSpec, generate_workload, list_profiles
 
-CONFIG = AlignConfig(engine="batched", xdrop=15, trace=True)
-SPEC = WorkloadSpec(count=6, seed=23, min_length=50, max_length=140, xdrop=15)
+XDROP = 15
+SPEC = WorkloadSpec(count=6, seed=23, min_length=50, max_length=140, xdrop=XDROP)
 
 #: Knob settings that force every mechanism on hard: compaction at every
 #: retirement, single-column tiles, and a mid-range tile.
@@ -51,6 +52,16 @@ def _pairs_from_workload(profile: str, spec: WorkloadSpec = SPEC):
     return [(job.query, job.target) for job in workload.jobs]
 
 
+def _extension_sides(profile: str, spec: WorkloadSpec = SPEC):
+    """The non-empty seed-extension sides the engines hand to the kernel."""
+    prepared = prepare_batch(generate_workload(profile, spec).jobs, ScoringScheme())
+    return [
+        (task.query, task.target)
+        for task in prepared.left_tasks + prepared.right_tasks
+        if not task.is_empty
+    ]
+
+
 def _result_tuple(res):
     return (
         res.best_score,
@@ -63,6 +74,7 @@ def _result_tuple(res):
 
 
 def assert_identical(batch_results, reference_results):
+    assert len(batch_results) == len(reference_results)
     for k, (got, ref) in enumerate(zip(batch_results, reference_results)):
         assert _result_tuple(got) == _result_tuple(ref), k
         same_trace = (got.band_widths is None) == (ref.band_widths is None) and (
@@ -72,61 +84,50 @@ def assert_identical(batch_results, reference_results):
         assert same_trace, k
 
 
-# --------------------------------------------------------------------------- #
-# Tier-1 differential subset: conformance runner over three profiles
-# --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("profile", ["pacbio", "degenerate", "xdrop_boundary"])
-def test_tier1_profile_conformance_default_knobs(profile):
-    """Workload profiles through the reworked kernel vs the scalar oracle.
+def assert_sides_match_reference(profile: str, **tuning) -> None:
+    """Sweep *profile*'s extension sides in one call, compare per side."""
+    pairs = _extension_sides(profile)
+    assert pairs
+    swept = xdrop_extend_batch(pairs, xdrop=XDROP, trace=True, **tuning)
+    reference = [
+        xdrop_extend_reference(q, t, xdrop=XDROP, trace=True) for q, t in pairs
+    ]
+    assert_identical(swept, reference)
 
-    Scores, extents, work accounting *and traces* must be bit-identical
-    (``CONFIG.trace`` is on, so ``compare_results`` checks band widths).
+
+# --------------------------------------------------------------------------- #
+# Tier-1 differential subset: every profile's extension sides, default knobs
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("profile", list_profiles())
+def test_tier1_profile_conformance_default_knobs(profile):
+    """Workload profiles through the numpy kernel vs the scalar oracle.
+
+    Scores, extents, work accounting *and band traces* must be
+    bit-identical, with the kernel's default compaction and tiling.
     """
-    runner = ConformanceRunner(
-        CONFIG, engines=["reference", "batched"], include_service=False
-    )
-    report = runner.run_workload(generate_workload(profile, SPEC))
-    assert report.ok, report.summary()
-    assert report.comparisons >= SPEC.count
+    assert_sides_match_reference(profile)
 
 
 @pytest.mark.parametrize("tuning", FORCED_TUNINGS, ids=lambda t: str(t))
 def test_tier1_forced_knobs_bit_identical(tuning):
     """Forced compaction/tiling settings on a mixed workload, per-pair."""
     pairs = _pairs_from_workload("pacbio") + _pairs_from_workload("length_skew")
-    tuned = xdrop_extend_batch(pairs, xdrop=15, trace=True, **tuning)
+    tuned = xdrop_extend_batch(pairs, xdrop=XDROP, trace=True, **tuning)
     reference = [
-        xdrop_extend_reference(q, t, xdrop=15, trace=True) for q, t in pairs
+        xdrop_extend_reference(q, t, xdrop=XDROP, trace=True) for q, t in pairs
     ]
     assert_identical(tuned, reference)
 
 
 # --------------------------------------------------------------------------- #
-# Tier-2 full matrix: every profile x forced-knob engine via the runner
+# Tier-2 full matrix: every profile x forced knobs
 # --------------------------------------------------------------------------- #
 @pytest.mark.tier2
 @pytest.mark.parametrize("tuning", FORCED_TUNINGS, ids=lambda t: str(t))
 @pytest.mark.parametrize("profile", list_profiles())
 class TestCompactionConformanceMatrix:
     def test_profile_conformance_with_forced_knobs(self, profile, tuning):
-        def factory(scoring=None, xdrop=100, workers=1, trace=False):
-            return BatchedEngine(
-                scoring=scoring, xdrop=xdrop, workers=workers, trace=trace, **tuning
-            )
-
-        factory.exact = True
-        factory.__doc__ = "Batched engine with forced compaction/tiling knobs."
-        register_engine("batched-tuned", factory)
-        try:
-            runner = ConformanceRunner(
-                CONFIG,
-                engines=["reference", "batched-tuned"],
-                include_service=False,
-            )
-            report = runner.run_workload(generate_workload(profile, SPEC))
-            assert report.ok, report.summary()
-        finally:
-            unregister_engine("batched-tuned")
+        assert_sides_match_reference(profile, **tuning)
 
 
 # --------------------------------------------------------------------------- #
@@ -313,132 +314,27 @@ def test_invalid_knobs_rejected():
 
 
 # --------------------------------------------------------------------------- #
-# Stats plumbing: engine options, merge, and the service hint
+# Stats plumbing
 # --------------------------------------------------------------------------- #
-def test_engine_options_reach_the_kernel():
-    config = AlignConfig(
-        engine="batched",
-        xdrop=15,
-        engine_options={"compact_threshold": 1.0, "tile_width": 3},
-    )
-    engine = config.build_engine()
-    assert engine.compact_threshold == 1.0
-    assert engine.tile_width == 3
-    workload = generate_workload("pacbio", SPEC)
-    tuned = engine.align_batch(workload.jobs)
-    baseline = get_engine("batched", xdrop=15).align_batch(workload.jobs)
-    assert [r.score for r in tuned.results] == [r.score for r in baseline.results]
-    assert tuned.extras["kernel_stats"].compactions >= 0
-
-
-def test_stats_merge_and_suggestion():
+def test_stats_merge():
     a = BatchKernelStats(rows=4, steps=10, row_steps=40, active_row_steps=10,
                          compactions=1, tiles=10, peak_window=8, cells=100,
                          dtype="int16")
     b = BatchKernelStats(rows=2, steps=5, row_steps=10, active_row_steps=10,
                          compactions=0, tiles=5, peak_window=16, cells=50,
-                         dtype="int16")
+                         dtype="int32")
     merged = BatchKernelStats().merge(a).merge(b)
     assert merged.rows == 6 and merged.steps == 15
+    assert merged.row_steps == 50 and merged.active_row_steps == 20
+    assert merged.compactions == 1 and merged.tiles == 15
     assert merged.peak_window == 16
     assert merged.cells == 150
-    assert merged.dtype == "int16"
-    assert 0.0 < merged.live_fraction < 1.0
-    # Uneven retirement (low live fraction) suggests shrinking the batch.
-    assert a.suggested_batch_size(64) == 32
-    # Uniform retirement (high live fraction) suggests growing it.
-    assert b.suggested_batch_size(64) == 128
-    assert BatchKernelStats().suggested_batch_size(64) == 64
+    assert merged.dtype == "mixed"
+    assert merged.live_fraction == pytest.approx(20 / 50)
+    assert BatchKernelStats().live_fraction == 1.0
+    assert merged.to_dict()["live_fraction"] == merged.live_fraction
 
 
 def test_default_knob_constants_are_sane():
     assert 0.0 < DEFAULT_COMPACT_THRESHOLD <= 1.0
     assert DEFAULT_TILE_WIDTH >= 64
-
-
-def test_service_exposes_kernel_batch_hint():
-    from repro.service import AlignmentService
-
-    workload = generate_workload("pacbio", SPEC)
-    with AlignmentService(config=AlignConfig(engine="batched", xdrop=15)) as service:
-        tickets = service.submit_many(workload.jobs)
-        service.drain()
-        for ticket in tickets:
-            ticket.result(timeout=30.0)
-        stats = service.stats()
-    assert stats.kernel_live_fraction is not None
-    assert 0.0 < stats.kernel_live_fraction <= 1.0
-    assert stats.suggested_batch_size is not None
-    assert stats.suggested_batch_size >= 8
-    payload = stats.to_dict()
-    assert "kernel_live_fraction" in payload
-    assert "suggested_batch_size" in payload
-
-
-def _window_entry(rows: int, fraction: float) -> BatchKernelStats:
-    """One batch accumulator whose weighted live fraction is ``fraction``."""
-    return BatchKernelStats(
-        rows=rows,
-        steps=rows,
-        row_steps=rows * 10,
-        active_row_steps=int(rows * 10 * fraction),
-        cells=rows * 100,
-        peak_window=64,
-        weighted_rows=rows,
-        weighted_live=fraction * rows,
-    )
-
-
-def test_windowed_stats_trims_to_the_ring():
-    from repro.core.xdrop_batch import WindowedKernelStats
-
-    window = WindowedKernelStats(window=3)
-    for index in range(5):
-        window.observe(_window_entry(rows=8, fraction=0.1 * (index + 1)))
-    # Only the newest three batches survive; lifetime count keeps all five.
-    assert window.batches == 3 and len(window) == 3
-    assert window.total_batches == 5
-    assert window.rows == 24
-    # Mean of the surviving fractions (0.3, 0.4, 0.5), not the lifetime mean.
-    assert window.live_fraction == pytest.approx(0.4, abs=1e-9)
-    assert window.rows_weighted_live_fraction == pytest.approx(0.4, abs=1e-9)
-
-
-def test_windowed_stats_merged_matches_manual_fold():
-    from repro.core.xdrop_batch import WindowedKernelStats
-
-    entries = [_window_entry(rows=4, fraction=0.2), _window_entry(rows=12, fraction=0.9)]
-    window = WindowedKernelStats(window=8)
-    manual = BatchKernelStats()
-    for entry in entries:
-        window.observe(entry)
-        manual.merge(entry)
-    merged = window.merged()
-    assert merged.rows == manual.rows == 16
-    assert merged.cells == manual.cells
-    assert merged.rows_weighted_live_fraction == pytest.approx(
-        manual.rows_weighted_live_fraction
-    )
-    # The windowed hint is the merged accumulator's hint, nothing more.
-    assert window.suggested_batch_size(32) == merged.suggested_batch_size(32)
-
-
-def test_windowed_stats_edge_cases():
-    from repro.core.xdrop_batch import WindowedKernelStats
-
-    with pytest.raises(ConfigurationError):
-        WindowedKernelStats(window=0)
-    empty = WindowedKernelStats(window=4)
-    assert empty.batches == 0 and empty.total_batches == 0
-    assert empty.live_fraction == 1.0
-    assert empty.suggested_batch_size(64) == 64
-    payload = empty.to_dict()
-    assert payload["window"] == 4
-    assert payload["window_batches"] == 0
-    assert payload["total_batches"] == 0
-
-    window = WindowedKernelStats(window=2)
-    window.observe(_window_entry(rows=8, fraction=0.95))
-    payload = window.to_dict()
-    assert payload["window_batches"] == 1 and payload["total_batches"] == 1
-    assert payload["rows"] == 8
