@@ -1,106 +1,115 @@
-"""Tests of the kernel's batch-sizing hint (``suggested_batch_size``).
+"""Tests of the kernel work telemetry (``BatchKernelStats``).
 
-The hint is the one piece of kernel telemetry the service reports about
-batch sizing (``ServiceStats.suggested_batch_size`` and the
-``repro_kernel_suggested_batch_size`` gauge).  It must stay bounded: at
-most double the current size, never above the explicit or default ceiling
-nor :data:`MAX_SUGGESTED_BATCH_SIZE`, and never below one.
+``perfbench/workloads.py`` and the engine's kernel metrics read a batch's
+``rows``, ``cells``, ``steps``, ``row_steps`` and ``live_fraction``, and the
+worker pools fold per-shard stats with :meth:`BatchKernelStats.merge`.
+These tests pin the merge fold and check that the counters of both pair
+kernels (the C kernel and the numpy fallback) add up over split batches.
 """
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
-from repro.core.xdrop_batch import (
-    MAX_SUGGESTED_BATCH_SIZE,
-    BatchKernelStats,
-    WindowedKernelStats,
+from repro.core import ScoringScheme, xdrop_native
+from repro.core.xdrop_batch import BatchKernelStats, xdrop_extend_batch
+from repro.core.xdrop_native import native_kernel
+from repro.data import PairSetSpec, generate_pair_set
+from repro.logan.kernel import extend_pairs_batched
+
+requires_cc = pytest.mark.skipif(
+    shutil.which(xdrop_native.COMPILE[0]) is None, reason="no C compiler on PATH"
+)
+
+ADDITIVE = (
+    "rows", "steps", "row_steps", "active_row_steps", "compactions", "tiles", "cells"
 )
 
 
-def kstats(rows=32, fraction=0.9, peak=512, depth=50):
-    """Synthetic one-batch telemetry with a chosen live fraction."""
-    row_steps = rows * depth
-    return BatchKernelStats(
-        rows=rows,
-        steps=depth,
-        row_steps=row_steps,
-        active_row_steps=int(row_steps * fraction),
-        compactions=1,
-        tiles=depth,
-        peak_window=peak,
-        cells=row_steps * 16,
-        dtype="int16",
-        weighted_rows=rows,
-        weighted_live=fraction * rows,
-    )
+def kstats(dtype="int16", **counts) -> BatchKernelStats:
+    return BatchKernelStats(dtype=dtype, **counts)
 
 
-class TestSuggestedBatchSizeClamp:
-    def test_growth_capped_at_four_times_current_by_default(self):
-        grown = kstats(fraction=0.95).suggested_batch_size(512)
-        assert grown == 1024  # doubling stays under the 4x default ceiling
-
-    def test_absolute_ceiling_is_never_exceeded(self):
-        assert (
-            kstats(fraction=0.95).suggested_batch_size(MAX_SUGGESTED_BATCH_SIZE)
-            == MAX_SUGGESTED_BATCH_SIZE
+@pytest.fixture
+def pairs():
+    jobs = generate_pair_set(
+        PairSetSpec(
+            num_pairs=8,
+            min_length=80,
+            max_length=200,
+            pairwise_error_rate=0.12,
+            seed_placement="start",
+            rng_seed=17,
         )
-        assert (
-            kstats(fraction=0.95).suggested_batch_size(
-                900, max_batch_size=10**9
-            )
-            == MAX_SUGGESTED_BATCH_SIZE
-        )
-
-    def test_explicit_ceiling_clamps_every_branch(self):
-        # Growth, hold and shrink all respect an explicit ceiling.
-        assert kstats(fraction=0.95).suggested_batch_size(64, max_batch_size=100) == 100
-        assert kstats(fraction=0.7).suggested_batch_size(64, max_batch_size=32) == 32
-        assert kstats(fraction=0.2).suggested_batch_size(64, max_batch_size=16) == 16
-
-    def test_ceiling_is_at_least_one(self):
-        assert kstats(fraction=0.95).suggested_batch_size(1, max_batch_size=0) == 1
-
-
-class TestSuggestedBatchSizeBranches:
-    @pytest.mark.parametrize(
-        "fraction, current, expected",
-        [
-            (0.10, 64, 32),  # ragged retirement: halve
-            (0.49, 64, 32),  # just under the shrink edge
-            (0.20, 10, 8),  # halving never goes below the floor of 8
-            (0.20, 4, 8),  # ... even when current is already smaller
-            (0.50, 64, 64),  # the shrink edge itself holds
-            (0.85, 64, 64),  # the grow edge itself holds
-            (0.86, 64, 128),  # just over the grow edge: double
-            (1.00, 3, 6),
-        ],
     )
-    def test_hint_table(self, fraction, current, expected):
-        assert kstats(fraction=fraction).suggested_batch_size(current) == expected
+    return [(job.query, job.target) for job in jobs]
 
-    @pytest.mark.parametrize("current, expected", [(0, 1), (-3, 1), (5, 5)])
-    def test_no_signal_holds_current(self, current, expected):
-        # No row-steps (or a non-positive size) gives no reason to move.
-        assert BatchKernelStats().suggested_batch_size(current) == expected
 
-    def test_rows_weighted_signal_resists_one_tiny_straggler(self):
-        # One 2-row batch that retired raggedly must not outvote a
-        # 64-row batch that retired uniformly.
-        big = kstats(rows=64, fraction=0.95)
-        tiny = kstats(rows=2, fraction=0.05, depth=5000)
-        merged = BatchKernelStats().merge(big).merge(tiny)
-        assert merged.live_fraction < 0.5  # the raw ratio follows the straggler
-        assert merged.suggested_batch_size(64) == 128
+@pytest.mark.parametrize(
+    "first, second, merged",
+    [
+        ("", "", ""),  # nothing swept yet on either side
+        ("", "int32", "int32"),  # an empty accumulator adopts the tier
+        ("int16", "", "int16"),  # an empty batch leaves the tier alone
+        ("int16", "int16", "int16"),
+        ("int16", "int32", "mixed"),
+        ("int64", "int16", "mixed"),
+        ("mixed", "int16", "mixed"),
+    ],
+)
+def test_merge_folds_the_dtype_tier(first, second, merged):
+    assert kstats(first).merge(kstats(second)).dtype == merged
 
-    def test_windowed_hint_follows_a_traffic_shift(self):
-        window = WindowedKernelStats(window=4)
-        for _ in range(10):
-            window.observe(kstats(fraction=0.1))
-        assert window.suggested_batch_size(64) == 32
-        for _ in range(4):
-            window.observe(kstats(fraction=0.95))
-        # The ragged history has left the window entirely.
-        assert window.suggested_batch_size(64) == 128
-        assert window.total_batches == 14
+
+def test_merge_adds_counters_and_keeps_the_widest_window():
+    a = kstats(rows=4, steps=10, row_steps=40, active_row_steps=10,
+               compactions=1, tiles=12, peak_window=8, cells=100)
+    b = kstats(rows=2, steps=5, row_steps=10, active_row_steps=10,
+               compactions=2, tiles=5, peak_window=3, cells=50)
+    merged = BatchKernelStats().merge(a).merge(b)
+    for field in ADDITIVE:
+        assert getattr(merged, field) == getattr(a, field) + getattr(b, field)
+    assert merged.peak_window == 8
+    # The pooled ratio, not the mean of the two batches' fractions.
+    assert merged.live_fraction == pytest.approx(20 / 50)
+
+
+def test_merge_into_an_empty_accumulator_is_the_identity():
+    one = kstats(rows=3, steps=7, row_steps=15, active_row_steps=12,
+                 compactions=1, tiles=9, peak_window=6, cells=80, dtype="int32")
+    assert BatchKernelStats().merge(one).to_dict() == one.to_dict()
+    assert BatchKernelStats().live_fraction == 1.0
+
+
+@requires_cc
+def test_native_stats_of_split_calls_merge_to_one_call(pairs):
+    """The C kernel pads nothing: every counter is additive over a split."""
+    assert native_kernel().available
+    scoring = ScoringScheme()
+    whole = BatchKernelStats()
+    extend_pairs_batched(pairs, scoring, 20, stats=whole)
+    halves = [BatchKernelStats(), BatchKernelStats()]
+    extend_pairs_batched(pairs[:3], scoring, 20, stats=halves[0])
+    extend_pairs_batched(pairs[3:], scoring, 20, stats=halves[1])
+    merged = BatchKernelStats().merge(halves[0]).merge(halves[1])
+    assert merged.to_dict() == whole.to_dict()
+    assert whole.live_fraction == 1.0
+
+
+def test_numpy_stats_of_split_calls_keep_rows_and_cells(pairs):
+    """Padded steps depend on the batch shape; rows and cells do not."""
+    whole = BatchKernelStats()
+    results = xdrop_extend_batch(pairs, xdrop=20, stats=whole)
+    halves = [BatchKernelStats(), BatchKernelStats()]
+    xdrop_extend_batch(pairs[:3], xdrop=20, stats=halves[0])
+    xdrop_extend_batch(pairs[3:], xdrop=20, stats=halves[1])
+    merged = BatchKernelStats().merge(halves[0]).merge(halves[1])
+    assert (merged.rows, merged.cells) == (whole.rows, whole.cells)
+    assert whole.cells == sum(ext.cells_computed for ext in results)
+    # Every row is live on each anti-diagonal after its first, in any split.
+    anti_diagonals = sum(ext.anti_diagonals for ext in results)
+    assert whole.active_row_steps == anti_diagonals - len(pairs)
+    assert merged.active_row_steps == whole.active_row_steps
+    assert 0.0 < whole.live_fraction <= 1.0

@@ -14,6 +14,8 @@ import pytest
 
 from repro import obs
 from repro.api import AlignConfig, ServiceConfig
+from repro.core import xdrop_native
+from repro.core.xdrop_native import NativeKernel, native_kernel
 from repro.engine import get_engine
 from repro.logan.kernel import kernel_name
 from repro.service import AlignmentService
@@ -172,6 +174,31 @@ class TestEngineInstrumentation:
         )
         hist = snap.get("repro_kernel_live_fraction", kernel=kernel)
         assert hist is not None and hist.histogram["count"] == 1
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["native", "numpy"])
+    def test_kernel_series_carry_the_batch_stats(self, small_jobs, monkeypatch, forced):
+        """Cells, row-steps, dtype and live fraction of the call, per kernel."""
+        if forced:
+            monkeypatch.setattr(
+                xdrop_native, "_KERNEL", NativeKernel(None, "forced unavailable")
+            )
+        elif not native_kernel().available:
+            pytest.skip("the C kernel is unavailable on this host")
+        stats = get_engine("batched", xdrop=20).align_batch(small_jobs).extras[
+            "kernel_stats"
+        ]
+        snap = obs.get_observability().registry.snapshot()
+        kernel = "numpy" if forced else "native"
+        assert kernel_name() == kernel
+        assert snap.value("repro_kernel_batches_total", kernel=kernel) == 1.0
+        assert snap.value("repro_kernel_cells_total", kernel=kernel) == stats.cells
+        assert snap.value("repro_kernel_steps_total", kernel=kernel) == stats.row_steps
+        assert snap.value(
+            "repro_kernel_dtype_total", kernel=kernel, dtype=stats.dtype
+        ) == 1.0
+        hist = snap.get("repro_kernel_live_fraction", kernel=kernel)
+        assert hist.histogram["count"] == 1
+        assert hist.histogram["sum"] == pytest.approx(stats.live_fraction)
 
     def test_engine_spans_when_tracing_enabled(self, small_jobs):
         ob = obs.configure(tracing=True)

@@ -79,6 +79,27 @@ def test_seed_batch_join_rejects_wrong_length_kernel_results(
         get_engine(engine, xdrop=30).align_batch(jobs)
 
 
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_seed_batch_join_rejects_wrong_length_fallback_results(
+    jobs, monkeypatch, fault
+):
+    """Without the C kernel, the numpy sweep's results meet the same check."""
+    from repro.core import xdrop_native
+    from repro.logan import kernel
+
+    monkeypatch.setattr(
+        xdrop_native, "_KERNEL", xdrop_native.NativeKernel(None, "forced unavailable")
+    )
+    real = kernel.xdrop_extend_batch
+
+    def faulty_sweep(pairs, **kwargs):
+        return FAULTS[fault](real(pairs, **kwargs))
+
+    monkeypatch.setattr(kernel, "xdrop_extend_batch", faulty_sweep)
+    with pytest.raises(ValueError, match=f"results for {2 * len(jobs)} extensions"):
+        get_engine("batched", xdrop=30).align_batch(jobs)
+
+
 def test_bella_pipeline_rejects_short_alignment_results(tiny_reads, monkeypatch):
     pipeline = BellaPipeline(
         config=AlignConfig(engine="batched", xdrop=15),

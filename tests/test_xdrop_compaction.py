@@ -9,8 +9,9 @@ workload-bank profile's seed-extension sides are swept with the default
 knobs (tier-1, all profiles) and with forced knobs (the full matrix under
 the ``tier2`` marker) and compared against the scalar reference, band
 traces included.  A Hypothesis sweep asserts invariance to random
-thresholds/tile widths, and the short-circuit of fully-retired rows is
-pinned on the ``degenerate`` profile.
+thresholds/tile widths, narrow tiles are forced on each dtype tier, and
+the short-circuit of fully-retired rows is pinned on the ``degenerate``
+profile for each compaction threshold.
 """
 
 from __future__ import annotations
@@ -211,6 +212,72 @@ def test_degenerate_profile_conformance_with_stats():
     total = sum(r.cells_computed for r in batch.results)
     assert 0 < stats.cells <= total
     assert total - stats.cells == 2 * len(batch.results) - stats.rows
+
+
+# --------------------------------------------------------------------------- #
+# Forced knobs: the tile fold on every dtype tier, the compaction threshold
+# --------------------------------------------------------------------------- #
+#: ``(scoring, xdrop)`` settings that make the overflow guard pick each tier.
+DTYPE_TIERS = {
+    "int16": (ScoringScheme(), 10),
+    "int32": (ScoringScheme(), 10**6),
+    "int64": (ScoringScheme(), 2**31),
+}
+
+
+@pytest.mark.parametrize("tile_width", [1, 2, 5, DEFAULT_TILE_WIDTH])
+@pytest.mark.parametrize("tier", sorted(DTYPE_TIERS))
+def test_tile_fold_on_every_dtype_tier(tier, tile_width):
+    """Narrow tiles split every step; the default width never does here.
+
+    Tier-1 inputs never reach a window as wide as the default tile, so the
+    fold across tiles is exercised only through a forced ``tile_width``.
+    """
+    scoring, xdrop = DTYPE_TIERS[tier]
+    rng = np.random.default_rng(11)
+    q = rng.integers(0, 4, size=40).astype(np.uint8)
+    other = rng.integers(0, 4, size=30).astype(np.uint8)
+    pairs = [(q, q.copy()), (q[:25], q[3:]), (q[5:], other)]
+    stats = BatchKernelStats()
+    got = xdrop_extend_batch(
+        pairs, scoring=scoring, xdrop=xdrop, trace=True, stats=stats,
+        tile_width=tile_width,
+    )
+    ref = [
+        xdrop_extend_reference(a, b, scoring=scoring, xdrop=xdrop, trace=True)
+        for a, b in pairs
+    ]
+    assert_identical(got, ref)
+    assert stats.dtype == tier
+    if tile_width < stats.peak_window:
+        assert stats.tiles > stats.steps
+    else:
+        assert stats.tiles == stats.steps
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.25, 0.5, 1.0])
+def test_compaction_threshold_sets_the_carried_rows(threshold):
+    """Threshold 0 carries every row to the end; 1 carries only live rows."""
+    rng = np.random.default_rng(7)
+    straggler = rng.integers(0, 4, size=400).astype(np.uint8)
+    pairs = [(straggler, straggler.copy())]
+    pairs += _pairs_from_workload("degenerate", WorkloadSpec(count=24, seed=5))
+
+    stats = BatchKernelStats()
+    results = xdrop_extend_batch(
+        pairs, xdrop=15, trace=True, stats=stats, compact_threshold=threshold
+    )
+    reference = [xdrop_extend_reference(q, t, xdrop=15, trace=True) for q, t in pairs]
+    assert_identical(results, reference)
+
+    if threshold == 0.0:
+        assert stats.compactions == 0
+        assert stats.row_steps == stats.rows * stats.steps
+    else:
+        assert stats.compactions >= 1
+        assert stats.active_row_steps <= stats.row_steps < stats.rows * stats.steps
+    if threshold == 1.0:
+        assert stats.row_steps == stats.active_row_steps
 
 
 # --------------------------------------------------------------------------- #

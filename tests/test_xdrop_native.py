@@ -191,7 +191,7 @@ def test_every_profile_over_network_and_process_transport():
                 assert report.network_checked is (runner is networked), name
 
 
-@pytest.mark.parametrize("profile", ["pacbio", "degenerate", "xdrop_boundary"])
+@pytest.mark.parametrize("profile", list_profiles())
 def test_numpy_fallback_stays_bit_identical(numpy_fallback, profile):
     assert kernel_name() == "numpy"
     runner = ConformanceRunner(
@@ -202,6 +202,30 @@ def test_numpy_fallback_stays_bit_identical(numpy_fallback, profile):
     spec = WorkloadSpec(count=5, seed=13, min_length=50, max_length=140, xdrop=15)
     report = runner.run_workload(generate_workload(profile, spec))
     assert report.ok, report.summary()
+
+
+@requires_cc
+@pytest.mark.parametrize("profile", list_profiles())
+def test_both_kernels_count_the_same_work(monkeypatch, profile):
+    """Per profile, the C and numpy kernels agree on results, rows and cells.
+
+    Their ``steps`` differ by design: the numpy sweep advances one global
+    anti-diagonal counter over the packed rows, the C kernel pads nothing.
+    """
+    workload = generate_workload(profile, WorkloadSpec(count=5, seed=31, xdrop=20))
+    engine = get_engine("batched", xdrop=20, trace=True)
+    native = engine.align_batch(workload.jobs)
+    monkeypatch.setattr(
+        xdrop_native, "_KERNEL", NativeKernel(None, "forced unavailable in a test")
+    )
+    fallback = engine.align_batch(workload.jobs)
+    for got, want in zip(fallback.results, native.results, strict=True):
+        assert got.score == want.score
+        assert _fields(got.left) == _fields(want.left)
+        assert _fields(got.right) == _fields(want.right)
+    ours, theirs = native.extras["kernel_stats"], fallback.extras["kernel_stats"]
+    assert (ours.rows, ours.cells) == (theirs.rows, theirs.cells)
+    assert (ours.dtype, theirs.dtype) == ("int64", "int16")
 
 
 # --------------------------------------------------------------------------- #
