@@ -8,8 +8,8 @@ Runs the same fixed-seed mixed-length workload three ways —
 2. ``per_job``    — one engine call per job, the naive front door the
                     service replaces;
 3. ``service``    — individual submissions through
-                    :class:`repro.service.AlignmentService` (adaptive
-                    batching, sharded workers), then a second submission
+                    :class:`repro.service.AlignmentService` (FIFO
+                    batching, C-kernel threads), then a second submission
                     round that must be answered from the result cache
 
 — prints the entry, gates it against the ``BENCH_service.json`` trajectory
@@ -45,7 +45,7 @@ def main(argv=None) -> int:
     parser.add_argument("--xdrop", type=int, default=50, help="X-drop threshold")
     parser.add_argument("--seed", type=int, default=2020, help="workload RNG seed")
     parser.add_argument("--batch-size", type=int, default=48, help="service batch bound")
-    parser.add_argument("--workers", type=int, default=1, help="service worker shards")
+    parser.add_argument("--workers", type=int, default=1, help="service C-kernel threads")
     parser.add_argument(
         "--record",
         action="store_true",

@@ -1,15 +1,14 @@
 #!/usr/bin/env python
-"""Distributed serving demo: process workers, a socket front door, and
-durable state that survives a restart.
+"""Distributed serving demo: a socket front door and durable state that
+survives a restart.
 
 Walks the whole :mod:`repro.distrib` surface:
 
-* an :class:`~repro.distrib.AlignmentServer` wrapping a process-transport
-  :class:`~repro.service.AlignmentService` (two spawned workers, whole
-  batches round-robined across them),
+* an :class:`~repro.distrib.AlignmentServer` wrapping an
+  :class:`~repro.service.AlignmentService` whose C kernel splits every
+  batch over two threads (``AlignConfig.workers``),
 * a :class:`~repro.distrib.ServiceClient` submitting over the wire and
-  reading back the fleet-merged metrics (worker-process kernel counters
-  folded into the coordinator's registry),
+  reading back the server's metrics,
 * a durable SQLite state file: after the server is torn down, a *new*
   service on the same file answers every request from the durable result
   table without aligning anything.
@@ -19,9 +18,6 @@ Everything is bit-identical to one direct ``align_batch`` call.
 Run from the repository root::
 
     PYTHONPATH=src python examples/distributed_serving.py
-
-(The ``__main__`` guard is required: spawned worker processes re-import
-this module.)
 """
 
 from __future__ import annotations
@@ -58,13 +54,8 @@ def main() -> None:
     config = AlignConfig(
         engine="batched",
         xdrop=XDROP,
-        service=ServiceConfig(
-            num_workers=2,
-            transport="process",
-            worker_policy="batch",
-            max_batch_size=16,
-            state_path=state_path,
-        ),
+        workers=2,
+        service=ServiceConfig(max_batch_size=16, state_path=state_path),
     )
 
     # -- serve over a real socket -----------------------------------------
@@ -82,24 +73,12 @@ def main() -> None:
                 f"{sum(cached)} cache hits)"
             )
             snap = client.metrics()
-            for shard in ("0", "1"):
-                heat = snap.value(
-                    "repro_worker_jobs_total", default=0.0, shard=shard
-                )
-                print(f"worker shard {shard}: {heat:.0f} jobs")
-            kernel_rows = snap.value(
-                "repro_engine_jobs_total", default=0.0, engine="batched"
-            )
-            print(f"engine counters merged from workers: {kernel_rows:.0f} jobs")
+            completed = snap.value("repro_service_completed_total")
+            cells = snap.value("repro_service_cells_total")
+            print(f"server metrics: {completed:.0f} jobs, {cells:.0f} DP cells")
 
     # -- restart: the durable result table answers everything -------------
-    with AlignmentService(
-        config=config.replace(
-            service=ServiceConfig(
-                num_workers=1, state_path=state_path  # thread transport is fine now
-            )
-        )
-    ) as reborn:
+    with AlignmentService(config=config) as reborn:
         tickets = reborn.submit_many(jobs)
         reborn.drain()
         replayed = [t.result(timeout=60.0) for t in tickets]

@@ -4,12 +4,12 @@
 Walks the whole :mod:`repro.obs` surface on a small served workload:
 
 * the always-live metrics registry — queue depth, batcher occupancy,
-  cache hit rate, per-shard worker heat — exported as Prometheus text and
+  cache hit rate, aligned cells — exported as Prometheus text and
   JSON-lines snapshots with provenance,
 * opt-in structured tracing: one trace tree per submission, spans nested
-  ``service.submit -> service.dispatch -> pool.shard -> engine.align_batch``,
+  ``service.submit -> service.dispatch -> engine.align_batch``,
 * the flight recorder: a bounded ring of recent spans/events/deltas,
-  dumped to JSON when a (deliberately) crashed worker needs explaining,
+  dumped to JSON when a (deliberately) crashed batch needs explaining,
 * the guarantee the whole subsystem is built on: observability off or on,
   alignment results are bit-identical.
 
@@ -57,8 +57,8 @@ collector = ob.tracer.collect()  # list-backed sink, handy for inspection
 config = AlignConfig(
     engine="batched",
     xdrop=XDROP,
-    service=ServiceConfig(num_workers=2, max_batch_size=16,
-                          cache_capacity=4 * len(jobs)),
+    workers=2,
+    service=ServiceConfig(max_batch_size=16, cache_capacity=4 * len(jobs)),
 )
 
 with AlignmentService(config=config) as service:
@@ -84,8 +84,8 @@ for name in (
         if sample.name == name:
             labels = ",".join(f"{k}={v}" for k, v in sorted(sample.labels.items()))
             print(f"  {name}{'{' + labels + '}' if labels else ''} = {sample.value}")
-print(f"  provenance: git_sha={snapshot.provenance.get('git_sha', '')[:12]} "
-      f"config_hash={snapshot.provenance.get('config_hash', '')[:12]}")
+print(f"  provenance: git_sha={(snapshot.provenance.get('git_sha') or '')[:12]} "
+      f"config_hash={(snapshot.provenance.get('config_hash') or '')[:12]}")
 
 # ---------------------------------------------------------------- #
 # 3. Exporters: Prometheus text and JSON lines round trip.
@@ -111,7 +111,7 @@ print(f"  engine.align_batch     : {len(engine_spans)} "
       f"(parented: {sum(1 for s in engine_spans if s.parent_id)})")
 
 # ---------------------------------------------------------------- #
-# 5. Flight recorder: crash a worker on purpose, read the dump.
+# 5. Flight recorder: crash a batch on purpose, read the dump.
 with AlignmentService(config=config) as service:
     def explode(jobs, scoring=None, xdrop=None):
         raise RuntimeError("deliberate crash for the tour")

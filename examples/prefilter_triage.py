@@ -48,7 +48,8 @@ def config(mode: str) -> AlignConfig:
         engine="batched",
         scoring=SCORING,
         xdrop=XDROP,
-        service=ServiceConfig(num_workers=2, max_batch_size=8, prefilter=mode),
+        workers=2,
+        service=ServiceConfig(max_batch_size=8, prefilter=mode),
     )
 
 

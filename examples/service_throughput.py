@@ -44,7 +44,8 @@ with AlignmentService(
     config=AlignConfig(
         engine="batched",
         xdrop=XDROP,
-        service=ServiceConfig(num_workers=2, max_batch_size=16),
+        workers=2,
+        service=ServiceConfig(max_batch_size=16),
     )
 ) as service:
     # Round 1: every job is new — batched and aligned.
@@ -70,5 +71,5 @@ print(f"cache hit rate           : {stats.cache.hit_rate:.2f} "
       f"({stats.cache.hits} hits / {stats.cache.misses} misses)")
 print(f"aligned DP cells         : {stats.cells:,} (round 2 cost zero)")
 print(f"service throughput       : {stats.throughput_gcups:.4f} GCUPS")
-print(f"per-worker jobs          : {[w.jobs for w in stats.workers]}")
+print(f"C-kernel threads         : {service.engine.workers}")
 print("scores identical to direct align_batch: True")

@@ -25,8 +25,8 @@ pure Python/NumPy:
   the GPU model;
 * :mod:`repro.service` — the asynchronous alignment service: a bounded
   submission queue, a FIFO batch former, a content-addressed
-  result cache and a load-balanced sharded worker pool over the engine
-  registry (:class:`repro.AlignmentService`);
+  result cache and one engine from the registry
+  (:class:`repro.AlignmentService`);
 * :mod:`repro.bella` — the BELLA long-read overlapper substrate (k-mers,
   SpGEMM overlap detection, adaptive threshold, pipeline);
 * :mod:`repro.data` — FASTA/FASTQ I/O, synthetic genomes and long reads,

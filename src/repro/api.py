@@ -71,10 +71,6 @@ __all__ = [
 #: seed is synthesised when :meth:`Aligner.align` is called without one.
 SEED_POLICIES = ("start", "middle")
 
-_WORKER_POLICIES = ("cells", "count", "batch")
-
-_TRANSPORTS = ("thread", "process")
-
 _PREFILTER_MODES = ("off", "advise", "enforce")
 
 
@@ -111,8 +107,6 @@ class ServiceConfig:
 
     Attributes
     ----------
-    num_workers:
-        Worker shards of the pool (load-balanced by estimated DP cells).
     max_batch_size:
         FIFO batcher flush bound (engine-sized batch).
     max_wait_seconds:
@@ -122,18 +116,8 @@ class ServiceConfig:
         LRU result-cache entries (0 disables caching).
     queue_capacity:
         Bound of the submission queue (backpressure limit).
-    worker_policy:
-        Load-balancing policy of the pool: ``"cells"`` or ``"count"``
-        split every batch across workers; ``"batch"`` (process transport
-        only) ships whole batches round-robin, pipelining consecutive
-        batches across worker processes.
     submit_timeout:
         Seconds ``submit`` may block on a full queue before raising.
-    transport:
-        ``"thread"`` runs worker shards on threads inside the coordinator
-        (the historical behaviour); ``"process"`` spawns worker processes
-        fed through shared memory (``repro.distrib``), taking engine
-        dispatch out of the coordinator's GIL.
     state_path:
         Optional path of the durable SQLite store.  When set, submissions
         and results survive restarts: unfinished jobs are redelivered and
@@ -151,25 +135,16 @@ class ServiceConfig:
         config construction whenever the prefilter is on.
     """
 
-    num_workers: int = 1
     max_batch_size: int = 64
     max_wait_seconds: float = 0.05
     cache_capacity: int = 4096
     queue_capacity: int = 1024
-    worker_policy: str = "cells"
     submit_timeout: float = 5.0
-    transport: str = "thread"
     state_path: str | None = None
     prefilter: str = "off"
     prefilter_options: dict[str, Any] = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _require(
-            int(self.num_workers) >= 1,
-            "service.num_workers",
-            f"must be >= 1, got {self.num_workers}",
-        )
-        object.__setattr__(self, "num_workers", int(self.num_workers))
         _require(
             int(self.max_batch_size) >= 1,
             "service.max_batch_size",
@@ -195,27 +170,11 @@ class ServiceConfig:
         )
         object.__setattr__(self, "queue_capacity", int(self.queue_capacity))
         _require(
-            self.worker_policy in _WORKER_POLICIES,
-            "service.worker_policy",
-            f"must be one of {', '.join(_WORKER_POLICIES)}, got {self.worker_policy!r}",
-        )
-        _require(
             float(self.submit_timeout) > 0.0,
             "service.submit_timeout",
             f"must be positive, got {self.submit_timeout}",
         )
         object.__setattr__(self, "submit_timeout", float(self.submit_timeout))
-        _require(
-            self.transport in _TRANSPORTS,
-            "service.transport",
-            f"must be one of {', '.join(_TRANSPORTS)}, got {self.transport!r}",
-        )
-        _require(
-            self.worker_policy != "batch" or self.transport == "process",
-            "service.worker_policy",
-            "'batch' ships whole batches to worker processes and requires "
-            "transport='process'",
-        )
         if self.state_path is not None:
             _require(
                 isinstance(self.state_path, str) and bool(self.state_path),
@@ -296,7 +255,9 @@ class AlignConfig:
     xdrop:
         X-drop termination threshold.
     workers:
-        Local worker processes of the engine's measured run.
+        The one parallelism knob: threads the C kernel splits each batch
+        over (``batched`` and ``logan`` engines, the service and BELLA
+        included); the per-job scalar engines use worker processes.
     trace:
         Record per-anti-diagonal band traces in every result.
     seed_policy:
@@ -605,7 +566,7 @@ class Aligner:
 _CONFIG_FLAGS = (
     ("engine", "--engine", str, "alignment engine from the registry"),
     ("xdrop", "--xdrop", int, "X-drop termination threshold"),
-    ("workers", "--workers", int, "local worker processes"),
+    ("workers", "--workers", int, "C-kernel threads (batched/logan)"),
     ("seed_policy", "--seed-policy", str, "default seed anchor (start|middle)"),
     ("bin_width", "--bin-width", int, "BELLA diagonal seed-bin width in bases"),
     ("bandwidth", "--bandwidth", int, "static band half-width (ksw2 engine)"),
@@ -620,13 +581,10 @@ _SCORING_FLAGS = (
 
 #: (field, flag, type, help) rows for the nested ServiceConfig.
 _SERVICE_FLAGS = (
-    ("num_workers", "--num-workers", int, "service worker shards"),
     ("max_batch_size", "--batch-size", int, "engine-sized batch (flush bound)"),
     ("max_wait_seconds", "--max-wait", float, "max seconds a job may wait"),
     ("cache_capacity", "--cache-capacity", int, "LRU result-cache entries"),
     ("queue_capacity", "--queue-capacity", int, "submission queue bound"),
-    ("worker_policy", "--worker-policy", str, "shard policy (cells/count/batch)"),
-    ("transport", "--transport", str, "worker transport (thread/process)"),
     ("state_path", "--state", str, "durable SQLite state file"),
     ("prefilter", "--prefilter", str, "admission triage (off/advise/enforce)"),
 )
@@ -697,10 +655,6 @@ def add_config_arguments(
             if name in exclude:
                 continue
             extra = {}
-            if name == "worker_policy":
-                extra["choices"] = list(_WORKER_POLICIES)
-            if name == "transport":
-                extra["choices"] = list(_TRANSPORTS)
             if name == "prefilter":
                 extra["choices"] = list(_PREFILTER_MODES)
             group.add_argument(

@@ -249,7 +249,6 @@ def run_service_bench(
     workers: int = 1,
     quick: bool = False,
     label: str = "",
-    process_workers: int = 0,
     prefilter: str = "off",
     prefilter_options: dict | None = None,
 ) -> BenchEntry:
@@ -262,14 +261,8 @@ def run_service_bench(
     ``speedup_vs_scalar`` column of the service rows is the speed-up over
     *per-job submission* — the serving layer's own scalar baseline.
 
-    With ``process_workers > 0`` a fourth row, ``service_mp``, times the
-    same workload through the distributed tier: a process-transport
-    service with the ``batch`` dispatch policy (whole formed batches
-    round-robined across worker processes).  Worker spawn happens before
-    the timed round, and a separately-seeded warm-up batch per worker
-    excludes interpreter start-up from the measurement.  Entries with a
-    process row carry ``extra["workload"]`` so they form their own
-    baseline series and never shift the default-series trajectory.
+    *workers* sets ``AlignConfig.workers`` of the service rows: the
+    C-kernel threads each formed batch is split over.
 
     With ``prefilter != "off"`` the workload switches to the mixed
     triage bank (:func:`_prefilter_bench_jobs` — related pacbio/ont
@@ -310,8 +303,8 @@ def run_service_bench(
             engine="batched",
             scoring=scoring,
             xdrop=xdrop,
+            workers=workers,
             service=ServiceConfig(
-                num_workers=workers,
                 max_batch_size=batch_size,
                 cache_capacity=4 * len(jobs),
             ),
@@ -333,44 +326,6 @@ def run_service_bench(
     ).to_dict()
     service.shutdown()
 
-    mp_timer = None
-    mp_scores: list[int] = []
-    if process_workers > 0:
-        mp_service = AlignmentService(
-            config=AlignConfig(
-                engine="batched",
-                scoring=scoring,
-                xdrop=xdrop,
-                    service=ServiceConfig(
-                    num_workers=process_workers,
-                    max_batch_size=batch_size,
-                    cache_capacity=4 * len(jobs),
-                    transport="process",
-                    worker_policy="batch",
-                ),
-            )
-        )
-        try:
-            # One warm batch per worker (round-robin dispatch) so spawn
-            # and first-touch costs stay out of the timed round.  Warm
-            # jobs use a different seed so the cache cannot answer the
-            # measured submissions.
-            for round_index in range(process_workers):
-                warm = service_bench_jobs(
-                    max(2, batch_size // 4), seed + 1 + round_index
-                )
-                warm_tickets = mp_service.submit_many(warm)
-                mp_service.drain()
-                for ticket in warm_tickets:
-                    ticket.result(timeout=120.0)
-            mp_timer = Timer()
-            with mp_timer:
-                mp_tickets = mp_service.submit_many(jobs)
-                mp_service.drain()
-                mp_scores = [t.result(timeout=120.0).score for t in mp_tickets]
-        finally:
-            mp_service.shutdown()
-
     pf_timer = None
     pf_results: list = []
     pf_tickets: list = []
@@ -381,8 +336,8 @@ def run_service_bench(
                 engine="batched",
                 scoring=scoring,
                 xdrop=xdrop,
-                    service=ServiceConfig(
-                    num_workers=workers,
+                workers=workers,
+                service=ServiceConfig(
                     max_batch_size=batch_size,
                     cache_capacity=4 * len(jobs),
                     prefilter=prefilter,
@@ -433,19 +388,6 @@ def run_service_bench(
         "mean_batch_size": stats.mean_batch_size,
         "cache_hit_rate": stats.cache.hit_rate,
     }
-    if mp_timer is not None:
-        rows.append(
-            row("service_mp", mp_timer.elapsed, mp_scores == direct.scores())
-        )
-        extra["service_config"]["process_workers"] = process_workers
-        # Presence of extra["workload"] changes BenchEntry.signature(), so
-        # process-transport runs start their own baseline series instead
-        # of gating (or loosening) the default thread-transport one.
-        extra["workload"] = {
-            "workers": workers,
-            "process_workers": process_workers,
-            "worker_policy": "batch",
-        }
     if pf_timer is not None:
         from ..prefilter import PrefilterPolicy
 

@@ -51,7 +51,6 @@ when the C kernel could not be built), and exit.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -432,17 +431,7 @@ def main_bench_perf(argv: Sequence[str] | None = None) -> int:
         "--service-workers",
         type=int,
         default=1,
-        help="thread workers of the benchmarked service (default 1)",
-    )
-    parser.add_argument(
-        "--process-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "with --service: also time a process-transport service_mp row "
-            "with N worker processes (0 = skip; starts its own series)"
-        ),
+        help="C-kernel threads of the benchmarked service (default 1)",
     )
     parser.add_argument(
         "--prefilter",
@@ -593,7 +582,6 @@ def main_bench_perf(argv: Sequence[str] | None = None) -> int:
             quick=args.quick,
             label=args.label,
             workers=args.service_workers,
-            process_workers=args.process_workers,
             prefilter=args.prefilter,
         )
         payload["service"] = service_entry.to_dict()
@@ -718,32 +706,6 @@ def main_bench(argv: Sequence[str] | None = None) -> int:
 # both behaviours while letting --seed-policy / --config override either.
 _SERVE_DEFAULTS = AlignConfig(engine="batched", seed_policy="middle")
 _SUBMIT_DEFAULTS = AlignConfig(engine="batched", seed_policy="start")
-
-
-def _service_config_from_args(
-    args: argparse.Namespace, defaults: AlignConfig
-) -> AlignConfig:
-    """Resolve the service subcommand's config from the shared group."""
-    # --workers is resolved by hand: the historic repro-service spelling
-    # meant worker *shards*, which the shared group now calls --num-workers.
-    config = config_from_args(args, defaults, exclude=("workers",))
-    if args.workers is not None:
-        if args.num_workers is None:
-            warn_once(
-                "cli-service-workers",
-                "repro-service --workers is interpreted as service worker "
-                "shards for backwards compatibility; use --num-workers for "
-                "shards (or the config file's 'workers' field for engine "
-                "worker processes)",
-            )
-            config = config.replace(
-                service=dataclasses.replace(
-                    config.service, num_workers=args.workers
-                ),
-            )
-        else:
-            config = config.replace(workers=args.workers)
-    return config
 
 
 def _add_service_arguments(
@@ -912,11 +874,11 @@ def _serve_network(args, parser, config) -> int:
         "listening": {"host": server.host, "port": server.port},
         "pid": os.getpid(),
         "engine": server.service.engine.name,
-        "transport": server.service.transport,
+        "workers": config.workers,
     }
     print(json.dumps(ready), flush=True)
     # Blocks until SIGINT/SIGTERM or a client 'shutdown' op, then drains
-    # the queue, flushes durable state and joins the workers.
+    # the queue and flushes durable state.
     server.serve_forever(install_signal_handlers=True)
     stats = server.service.stats()
     if args.flight_recorder_out and server.service.obs.recorder is not None:
@@ -947,7 +909,7 @@ def _run_serve(args, parser) -> int:
     from .perf.timers import Timer
     from .service import AlignmentService
 
-    config = _service_config_from_args(args, _SERVE_DEFAULTS)
+    config = config_from_args(args, _SERVE_DEFAULTS)
     if args.trace or args.flight_recorder_out:
         obs_mod.configure(tracing=True, flight_recorder=True)
     if args.listen:
@@ -1037,7 +999,7 @@ def _run_serve(args, parser) -> int:
 def _run_submit(args, parser) -> int:
     from .service import AlignmentService
 
-    config = _service_config_from_args(args, _SUBMIT_DEFAULTS)
+    config = config_from_args(args, _SUBMIT_DEFAULTS)
     if args.query and args.target:
         jobs = [
             AlignmentJob(

@@ -87,13 +87,18 @@ class BatchKernelStats:
     rows:
         Extensions entering the kernel.
     steps:
-        Global anti-diagonal steps executed.
+        Anti-diagonal steps executed.  A step computes one anti-diagonal
+        past the origin cell, so an extension reporting ``anti_diagonals``
+        takes ``anti_diagonals - 1`` of them.  The numpy sweep counts one
+        global step for all packed rows; the C kernel, which sweeps every
+        row on its own, sums its rows' steps.
     row_steps:
         Sum over steps of the packed rows carried through the step — the
         quantity compaction minimises (without compaction it would be
         ``rows * steps``).
     active_row_steps:
-        Sum over steps of the rows actually still extending.
+        Sum over steps of the rows actually still extending:
+        ``sum(anti_diagonals - 1)`` on both kernels.
     compactions:
         Physical compaction events.
     tiles:

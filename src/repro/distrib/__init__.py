@@ -1,13 +1,8 @@
-"""Distributed serving tier: process workers, durable state, network front door.
+"""Distributed serving tier: durable state and a network front door.
 
 This package extends the in-process serving layer (``repro.service``) across
-three boundaries the coordinator previously never crossed:
+two boundaries the service itself never crosses:
 
-* **Process boundary** — :class:`ProcessWorkerPool` spawns ``multiprocessing``
-  workers and feeds them whole packed job blocks through shared memory
-  (``repro.distrib.shm``), so the GIL no longer serialises engine dispatch.
-  Results come back as packed ``int64`` tables; per-worker metric deltas and
-  flight-recorder dumps ride along and are merged at the coordinator.
 * **Restart boundary** — :class:`DurableStore` keeps the submission queue and
   the result cache in a WAL-mode SQLite file.  Jobs that were in flight when
   the process died are redelivered on the next start; completed results
@@ -16,15 +11,15 @@ three boundaries the coordinator previously never crossed:
 * **Network boundary** — :class:`AlignmentServer` / :class:`ServiceClient`
   speak a length-prefixed JSON protocol (``repro.distrib.wire``) so a client
   process can submit batches to a running ``repro-service serve --listen``
-  server and read merged metrics back.
+  server and read its metrics back.
 
-Everything stays bit-identical to the in-process path: the conformance
-harness replays all workload profiles through the networked multi-process
-tier and compares against the single-process oracle.
+Parallelism stays inside the server process: the service's engine splits
+each batch over ``AlignConfig.workers`` C-kernel threads.  Everything stays
+bit-identical to the in-process path: the conformance harness replays all
+workload profiles through the socket and compares against the oracle.
 """
 
 from .client import ServiceClient
-from .pool import ProcessWorkerPool
 from .server import AlignmentServer, GracefulShutdown
 from .store import DurableStore
 
@@ -32,6 +27,5 @@ __all__ = [
     "AlignmentServer",
     "DurableStore",
     "GracefulShutdown",
-    "ProcessWorkerPool",
     "ServiceClient",
 ]

@@ -38,7 +38,7 @@ class ServiceClient:
             ) from exc
 
     def ping(self) -> dict[str, Any]:
-        """Server identity (pid, engine, transport, workers)."""
+        """Server identity (pid, engine, workers, state path)."""
         return self._request({"op": "ping"})["server"]
 
     def submit(
@@ -73,7 +73,7 @@ class ServiceClient:
         return self._request({"op": "stats"})["stats"]
 
     def metrics(self) -> MetricsSnapshot:
-        """The server-side metrics snapshot (worker series merged in)."""
+        """The server-side metrics snapshot."""
         return MetricsSnapshot.from_dict(self._request({"op": "metrics"})["metrics"])
 
     def shutdown_server(self) -> None:

@@ -5,20 +5,19 @@ The server speaks the length-prefixed JSON protocol of
 each a single frame with an ``"op"`` field:
 
 ``ping``
-    Liveness + identity (pid, engine, transport, workers).
+    Liveness + identity (pid, engine, workers, state path).
 ``submit``
     ``{"op": "submit", "jobs": [...]}`` — align a batch and reply with the
     results (wire-exact) plus per-job cache-hit flags.
 ``stats`` / ``metrics``
-    The service's :meth:`stats` dict / full metrics snapshot, including the
-    per-shard series merged back from worker processes.
+    The service's :meth:`stats` dict / full metrics snapshot.
 ``shutdown``
     Ask the server to stop serving after replying.
 
 Shutdown is always graceful: ``close(drain=True)`` (also the SIGINT/SIGTERM
 path installed by :meth:`serve_forever`) stops accepting connections,
-drains the submission queue, flushes durable state and joins the workers —
-in-flight tickets complete instead of being dropped.
+drains the submission queue and flushes durable state — in-flight tickets
+complete instead of being dropped.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ class AlignmentServer:
     Parameters
     ----------
     config:
-        :class:`repro.api.AlignConfig` the service is built from (transport,
-        workers, durable state path all come from ``config.service``).
+        :class:`repro.api.AlignConfig` the service is built from (its
+        ``workers`` C-kernel threads and ``service.state_path``).
     host, port:
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`port`).
@@ -261,11 +260,10 @@ class AlignmentServer:
         }
 
     def _identity(self) -> dict[str, Any]:
-        svc = self.config.service if self.config is not None else None
+        config = self.config
         return {
             "pid": os.getpid(),
-            "engine": self.config.engine if self.config is not None else None,
-            "transport": svc.transport if svc is not None else None,
-            "num_workers": svc.num_workers if svc is not None else None,
-            "state_path": svc.state_path if svc is not None else None,
+            "engine": config.engine if config is not None else None,
+            "workers": config.workers if config is not None else None,
+            "state_path": config.service.state_path if config is not None else None,
         }

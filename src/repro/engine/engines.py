@@ -222,8 +222,8 @@ class BatchedEngine(_EngineBase):
 
     Every run attaches the kernel's
     :class:`~repro.core.xdrop_batch.BatchKernelStats` telemetry to the
-    batch result as ``extras["kernel_stats"]``; the worker pools merge it
-    across shards and benchmarks read it.
+    batch result as ``extras["kernel_stats"]``; the service and the
+    benchmarks read it.
     """
 
     name = "batched"

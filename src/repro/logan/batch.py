@@ -126,8 +126,8 @@ class LoganAligner:
         Threads scheduled per block; ``None`` (default) picks the
         X-proportional count the paper describes.
     workers:
-        Local worker processes for the functional execution (the batched
-        sweep is chunked across them; scores and traces are unaffected).
+        C-kernel threads of the functional execution (the batch is split
+        across them; scores and traces are unaffected).
     host_model:
         Host preprocessing cost model.
     kernel_params:

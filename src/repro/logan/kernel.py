@@ -86,9 +86,11 @@ def extend_pairs_batched(
     identical either way.
 
     ``stats``, when given, collects the call's
-    :class:`~repro.core.xdrop_batch.BatchKernelStats`.  The C kernel pads
-    nothing, so its ``steps`` and ``row_steps`` are both the sum of the
-    extensions' anti-diagonals.
+    :class:`~repro.core.xdrop_batch.BatchKernelStats`.  Both kernels count
+    a step as one anti-diagonal computed past the origin cell.  The C
+    kernel pads nothing, so its ``steps``, ``row_steps`` and
+    ``active_row_steps`` are all ``sum(anti_diagonals - 1)``: what the
+    numpy sweep counts for a batch of one.
     """
     native = native_kernel()
     if not native.available:
@@ -99,7 +101,7 @@ def extend_pairs_batched(
         pairs, scoring, xdrop, trace=trace, threads=available_workers(workers)
     )
     if stats is not None:
-        steps = sum(ext.anti_diagonals for ext in results)
+        steps = sum(ext.anti_diagonals - 1 for ext in results)
         stats.rows += len(results)
         stats.steps += steps
         stats.row_steps += steps

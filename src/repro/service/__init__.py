@@ -3,9 +3,9 @@
 The serving layer over the engine registry.  Individually submitted
 :class:`~repro.core.job.AlignmentJob` requests are content-addressed against
 an LRU result cache, coalesced in submission order by a FIFO batcher into
-engine-sized batches, and sharded across a load-balanced worker pool — the
-paper's host-side batching and multi-GPU partitioning (Section IV) recast
-as a production front door.
+engine-sized batches, and run on one engine whose C kernel splits each
+batch over ``AlignConfig.workers`` threads — the paper's host-side batching
+(Section IV) recast as a production front door.
 
 >>> from repro.api import AlignConfig
 >>> from repro.service import AlignmentService
@@ -22,7 +22,7 @@ from .batcher import AdaptiveBatcher, BatchPolicy, FormedBatch
 from .cache import CacheStats, ResultCache, job_cache_key
 from .queue import AlignmentTicket, SubmissionQueue
 from .service import AlignmentService, ServiceStats
-from .workers import ShardedWorkerPool, WorkerStats
+from .workers import BatchRunner
 
 __all__ = [
     "AlignmentService",
@@ -35,6 +35,5 @@ __all__ = [
     "ResultCache",
     "CacheStats",
     "job_cache_key",
-    "ShardedWorkerPool",
-    "WorkerStats",
+    "BatchRunner",
 ]

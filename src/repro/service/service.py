@@ -8,9 +8,9 @@ individually submitted alignment requests:
    (backpressure);
 2. the processing loop feeds tickets into the FIFO batcher, which
    coalesces them, in submission order, into engine-sized batches;
-3. formed batches run on the sharded worker pool (load-balanced by
-   estimated DP cells, the paper's host-side policy), results are scattered
-   back to the tickets and inserted into the cache.
+3. formed batches run on the engine in one call each (its C kernel splits
+   a batch over ``AlignConfig.workers`` threads); results resolve the
+   tickets and are inserted into the cache.
 
 The service runs in two modes.  *Inline* (default): nothing happens until
 :meth:`drain`, which processes everything synchronously — deterministic,
@@ -41,7 +41,7 @@ from ..prefilter import PREFILTER_OUTCOMES
 from .batcher import AdaptiveBatcher, BatchPolicy, FormedBatch
 from .cache import CacheStats, ResultCache, job_cache_key
 from .queue import AlignmentTicket, SubmissionQueue
-from .workers import ShardedWorkerPool, WorkerStats
+from .workers import BatchRunner
 
 __all__ = ["ServiceStats", "AlignmentService"]
 
@@ -63,10 +63,8 @@ class ServiceStats:
     cache:
         Cache counters (hits, misses, evictions, hit rate).
     cells, busy_seconds, throughput_gcups:
-        Total aligned DP cells, wall-clock spent inside worker batches, and
+        Total aligned DP cells, wall-clock spent inside engine batches, and
         the resulting GCUPS (0.0 before any work ran).
-    workers:
-        Per-shard accounting (batches, jobs, cells, seconds).
     prefilter_mode, prefilter_decisions:
         Admission triage mode (``"off"``/``"advise"``/``"enforce"``) and
         the per-outcome decision counts (empty when the prefilter is off).
@@ -82,7 +80,6 @@ class ServiceStats:
     cells: int = 0
     busy_seconds: float = 0.0
     throughput_gcups: float = 0.0
-    workers: list[WorkerStats] = field(default_factory=list)
     prefilter_mode: str = "off"
     prefilter_decisions: dict = field(default_factory=dict)
 
@@ -111,16 +108,6 @@ class ServiceStats:
             "cells": self.cells,
             "busy_seconds": self.busy_seconds,
             "throughput_gcups": self.throughput_gcups,
-            "workers": [
-                {
-                    "worker": w.worker_index,
-                    "batches": w.batches,
-                    "jobs": w.jobs,
-                    "cells": w.cells,
-                    "seconds": w.seconds,
-                }
-                for w in self.workers
-            ],
             "prefilter_mode": self.prefilter_mode,
             "prefilter_decisions": dict(self.prefilter_decisions),
         }
@@ -136,16 +123,12 @@ class AlignmentService:
         ready-made engine instance.
     scoring, xdrop:
         Alignment parameters; also part of every cache key.
-    num_workers:
-        Worker shards of the pool (load-balanced by estimated cells).
     policy:
         The :class:`BatchPolicy` of the FIFO batcher.
     cache_capacity:
         LRU result-cache entries (0 disables caching).
     queue_capacity:
         Bound of the submission queue (backpressure limit).
-    worker_policy:
-        Load-balancing policy of the pool, ``"cells"`` or ``"count"``.
     submit_timeout:
         Seconds ``submit`` may block on a full queue before raising.
     config:
@@ -162,27 +145,23 @@ class AlignmentService:
         scoring: ScoringScheme | None = None,
         xdrop: int = 100,
         *,
-        num_workers: int = 1,
         policy: BatchPolicy | None = None,
         cache_capacity: int = 4096,
         queue_capacity: int = 1024,
-        worker_policy: str = "cells",
         submit_timeout: float = 5.0,
         config=None,
     ) -> None:
+        loose = (
+            engine != "batched"
+            or scoring is not None
+            or xdrop != 100
+            or policy is not None
+            or cache_capacity != 4096
+            or queue_capacity != 1024
+            or submit_timeout != 5.0
+        )
         if config is not None:
-            legacy = (
-                engine != "batched"
-                or scoring is not None
-                or xdrop != 100
-                or num_workers != 1
-                or policy is not None
-                or cache_capacity != 4096
-                or queue_capacity != 1024
-                or worker_policy != "cells"
-                or submit_timeout != 5.0
-            )
-            if legacy:
+            if loose:
                 raise ServiceError(
                     "pass either config= or the loose service kwargs, not both"
                 )
@@ -190,30 +169,17 @@ class AlignmentService:
             engine = engine_from_config(config)
             scoring = config.scoring
             xdrop = config.xdrop
-            num_workers = svc.num_workers
             policy = BatchPolicy(
                 max_batch_size=svc.max_batch_size,
                 max_wait_seconds=svc.max_wait_seconds,
             )
             cache_capacity = svc.cache_capacity
             queue_capacity = svc.queue_capacity
-            worker_policy = svc.worker_policy
             submit_timeout = svc.submit_timeout
-            transport = svc.transport
             state_path = svc.state_path
             prefilter_mode = svc.prefilter
             prefilter_options = svc.prefilter_options
-        elif (
-            engine != "batched"
-            or scoring is not None
-            or xdrop != 100
-            or num_workers != 1
-            or policy is not None
-            or cache_capacity != 4096
-            or queue_capacity != 1024
-            or worker_policy != "cells"
-            or submit_timeout != 5.0
-        ):
+        elif loose:
             warn_once(
                 "service-loose-kwargs",
                 "configuring AlignmentService through loose kwargs is "
@@ -221,10 +187,8 @@ class AlignmentService:
                 "repro.api.Aligner.open_service)",
             )
         if config is None:
-            # The distributed knobs have no loose-kwarg form: the legacy
-            # surface always means in-process threads with no durability
-            # and no admission triage.
-            transport = "thread"
+            # The durable store and admission triage have no loose-kwarg
+            # form: the legacy surface always means neither.
             state_path = None
             prefilter_mode = "off"
             prefilter_options = {}
@@ -242,27 +206,7 @@ class AlignmentService:
         self.queue = SubmissionQueue(capacity=queue_capacity, obs=self.obs)
         self.batcher = AdaptiveBatcher(self.policy, obs=self.obs)
         self.cache = ResultCache(capacity=cache_capacity, obs=self.obs)
-        self.transport = transport
-        if transport == "process":
-            # Spawned worker processes fed through shared memory; they
-            # rebuild the engine from the config in their own interpreter.
-            from ..distrib.pool import ProcessWorkerPool
-
-            self.pool = ProcessWorkerPool(
-                config,
-                num_workers=num_workers,
-                policy=worker_policy,
-                xdrop=self.xdrop,
-                obs=self.obs,
-            )
-        else:
-            self.pool = ShardedWorkerPool(
-                engine=self.engine,
-                num_workers=num_workers,
-                policy=worker_policy,
-                xdrop=self.xdrop,
-                obs=self.obs,
-            )
+        self.pool = BatchRunner(self.engine)
         self.submit_timeout = submit_timeout
         self.prefilter_mode = prefilter_mode
         self.prefilter = None
@@ -289,10 +233,10 @@ class AlignmentService:
             "repro_service_completed_total", "jobs resolved (cache hits included)"
         )
         self._cells_c = self.obs.counter(
-            "repro_service_cells_total", "DP cells aligned by the pool"
+            "repro_service_cells_total", "DP cells aligned by the engine"
         )
         self._busy_c = self.obs.counter(
-            "repro_service_busy_seconds_total", "wall seconds inside pool batches"
+            "repro_service_busy_seconds_total", "wall seconds inside engine batches"
         )
         self._prefilter_c = self.obs.counter(
             "repro_prefilter_decisions_total",
@@ -356,8 +300,7 @@ class AlignmentService:
             ticket = AlignmentTicket(job, cache_key=key)
             if self.prefilter is not None:
                 # Admission triage runs on every submission — before the
-                # cache, the durable store and (in the process transport)
-                # any shared-memory packing, so rejected pairs never cost
+                # cache and the durable store, so rejected pairs never cost
                 # more than the sketch.  Under "advise" the outcome is
                 # only counted; under "enforce" a reject resolves
                 # instantly with the seed-only placeholder and is kept
@@ -582,9 +525,6 @@ class AlignmentService:
             for batch in self.batcher.flush_all():
                 for ticket in batch.tickets:
                     ticket.fail(ServiceError("service shut down before alignment"))
-        pool_shutdown = getattr(self.pool, "shutdown", None)
-        if pool_shutdown is not None:  # process pools own OS resources
-            pool_shutdown()
         if self.store is not None:
             self.store.close()
 
@@ -616,7 +556,6 @@ class AlignmentService:
                 cells=cells,
                 busy_seconds=busy,
                 throughput_gcups=gcups(cells, busy),
-                workers=list(self.pool.worker_stats),
                 prefilter_mode=self.prefilter_mode,
                 prefilter_decisions=(
                     {

@@ -11,7 +11,7 @@ of jobs through:
   and run-to-run determinism for the rest (the ksw2 Z-drop engine is
   *comparable*, not identical, by design);
 * the :class:`~repro.service.AlignmentService` path (queue -> batcher ->
-  cache -> sharded workers), asserting bit-identity with the direct
+  cache -> engine), asserting bit-identity with the direct
   engine call, then a second cache-served round asserting the cache
   returns exactly what the engine computed.
 
@@ -287,8 +287,8 @@ class ConformanceRunner:
     include_network:
         Also replay every batch through a live
         :class:`~repro.distrib.AlignmentServer` — jobs and results cross a
-        real socket (and, when the config says ``transport="process"``,
-        real worker processes) and must still come back bit-identical.
+        real socket, run on the config's ``workers`` C-kernel threads, and
+        must still come back bit-identical.
         One server is started lazily and reused across ``run_jobs`` calls;
         use the runner as a context manager (or call :meth:`close`) to
         shut it down.
@@ -687,9 +687,9 @@ class ConformanceRunner:
     def _ensure_server(self):
         """Start (once) and return the shared networked-service server.
 
-        Reusing one server across ``run_jobs`` calls amortises the worker
-        spawn cost over every replayed workload — exactly how a real
-        deployment would serve them.
+        Reusing one server across ``run_jobs`` calls amortises its start-up
+        over every replayed workload — exactly how a real deployment would
+        serve them.
         """
         if self._network_server is None:
             from ..distrib import AlignmentServer
@@ -701,9 +701,8 @@ class ConformanceRunner:
         """Networked service must be bit-identical to the direct engine.
 
         Jobs round-trip through the wire codec and the server's service
-        (worker processes included when the config transport says so); a
-        second round must answer from the server-side cache with the same
-        bytes.
+        on the config's ``workers`` threads; a second round must answer
+        from the server-side cache with the same bytes.
         """
         from ..distrib import ServiceClient
 

@@ -45,12 +45,10 @@ def fancy_config() -> AlignConfig:
         bin_width=250,
         bandwidth=64,
         service=ServiceConfig(
-            num_workers=2,
             max_batch_size=16,
             max_wait_seconds=0.01,
             cache_capacity=128,
             queue_capacity=64,
-            worker_policy="count",
             submit_timeout=2.0,
         ),
     )
@@ -137,13 +135,13 @@ class TestAlignConfigValidation:
     @pytest.mark.parametrize(
         "kwargs, field_name",
         [
-            ({"num_workers": 0}, "service.num_workers"),
             ({"max_batch_size": 0}, "service.max_batch_size"),
             ({"max_wait_seconds": -0.1}, "service.max_wait_seconds"),
             ({"cache_capacity": -1}, "service.cache_capacity"),
             ({"queue_capacity": 0}, "service.queue_capacity"),
-            ({"worker_policy": "roulette"}, "service.worker_policy"),
             ({"submit_timeout": 0.0}, "service.submit_timeout"),
+            ({"state_path": ""}, "service.state_path"),
+            ({"prefilter": "sometimes"}, "service.prefilter"),
         ],
     )
     def test_service_field_named_in_message(self, kwargs, field_name):
@@ -157,8 +155,8 @@ class TestAlignConfigValidation:
         assert "engnie" in str(excinfo.value)
 
     def test_service_values_are_coerced(self):
-        svc = ServiceConfig(num_workers=2.5, max_wait_seconds=1)
-        assert svc.num_workers == 2 and isinstance(svc.num_workers, int)
+        svc = ServiceConfig(max_batch_size=2.5, max_wait_seconds=1)
+        assert svc.max_batch_size == 2 and isinstance(svc.max_batch_size, int)
         assert svc.max_wait_seconds == 1.0 and isinstance(svc.max_wait_seconds, float)
 
     def test_service_from_dict_rejects_unknown_keys_by_name(self):

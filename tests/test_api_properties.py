@@ -36,14 +36,12 @@ scorings = st.builds(
 
 service_configs = st.builds(
     ServiceConfig,
-    num_workers=st.integers(min_value=1, max_value=8),
     max_batch_size=st.integers(min_value=1, max_value=512),
     max_wait_seconds=st.floats(
         min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False
     ),
     cache_capacity=st.integers(min_value=0, max_value=1 << 16),
     queue_capacity=st.integers(min_value=1, max_value=1 << 16),
-    worker_policy=st.sampled_from(["cells", "count"]),
     submit_timeout=st.floats(
         min_value=0.001, max_value=60.0, allow_nan=False, allow_infinity=False
     ),

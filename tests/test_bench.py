@@ -185,6 +185,28 @@ class TestBaselineStore:
         assert store.latest_matching(fresh) is not None
         assert compare(fresh, restored, tolerance=0.1).ok
 
+    def test_service_entries_from_the_deleted_process_transport_still_load(
+        self, tmp_path
+    ):
+        """Entries with a ``service_mp`` row keep loading, round-tripping and
+        comparing against fresh entries, which no longer carry that row."""
+        stored = [
+            entry
+            for entry in BaselineStore("BENCH_service.json").load()
+            if entry.row("service_mp") is not None
+        ]
+        assert stored, "the committed trajectory predates the removal"
+        legacy = stored[-1]
+        store = BaselineStore(tmp_path / "BENCH_service.json")
+        store.append(legacy)
+        restored = store.load()[-1]
+        assert restored.to_dict() == legacy.to_dict()
+        fresh = BenchEntry.from_dict(restored.to_dict())
+        fresh.rows = [row for row in fresh.rows if row.engine != "service_mp"]
+        report = compare(fresh, restored, tolerance=0.1)
+        assert report.ok
+        assert "service" in {delta.engine for delta in report.deltas}
+
 
 # --------------------------------------------------------------------------- #
 # Regression gate
@@ -342,6 +364,12 @@ class TestRunnersAndCli:
         out = capsys.readouterr().out
         assert "engine 'batched'" in out and "no baseline recorded" in out
         assert main_bench_perf(args + ["--strict"]) == 1
+
+    def test_cli_perf_rejects_the_removed_process_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main_bench_perf(["--service", "--process-workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cli_perf_artifact_and_json(self, tmp_path, capsys):
         artifact = tmp_path / "report.json"

@@ -308,9 +308,19 @@ class TestReproService:
         middle = json.loads(capsys.readouterr().out)["scores"]
         assert middle != start
 
-    def test_legacy_workers_flag_means_shards(self, capsys):
-        # Historic repro-service spelling: --workers configured the worker
-        # shards (now --num-workers); the shim keeps that behaviour.
+    def test_workers_flag_sets_kernel_threads(self, monkeypatch, capsys):
+        # --workers means AlignConfig.workers on every command: the C-kernel
+        # threads of the service's engine.
+        import repro.service
+
+        built = []
+        real = repro.service.AlignmentService.__init__
+
+        def spy(service, *args, **kwargs):
+            real(service, *args, **kwargs)
+            built.append(service)
+
+        monkeypatch.setattr(repro.service.AlignmentService, "__init__", spy)
         exit_code = main_service(
             ["serve", "--pairs", "4", "--min-length", "100",
              "--max-length", "200", "--workers", "2",
@@ -318,7 +328,25 @@ class TestReproService:
         )
         assert exit_code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload["workers"]) == 2
+        assert payload["completed"] == 4
+        (service,) = built
+        assert service.config.workers == 2
+        assert service.engine.workers == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--num-workers", "2"],
+            ["serve", "--worker-policy", "batch"],
+            ["serve", "--transport", "process"],
+        ],
+        ids=lambda argv: argv[1],
+    )
+    def test_removed_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main_service(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestReproFuzz:

@@ -1,10 +1,9 @@
 """Networked conformance: every workload profile through the full
-distributed path (socket front door -> process workers -> shared memory)
-must come back bit-identical to the in-process oracle.
+distributed path (socket front door -> service -> C-kernel threads) must
+come back bit-identical to the in-process oracle.
 
-One runner (and therefore one server + one 2-worker process pool) is
-shared across all profiles — spawning interpreters per profile would
-multiply the suite's wall clock by the profile count.
+One runner (and therefore one server) per thread count is shared across
+all profiles.
 """
 
 from __future__ import annotations
@@ -16,17 +15,13 @@ from repro.testing import ConformanceRunner
 from repro.workloads import WorkloadSpec, generate_workload, list_profiles
 
 
-@pytest.fixture(scope="module")
-def runner():
+@pytest.fixture(scope="module", params=[1, 2], ids=lambda n: f"workers{n}")
+def runner(request):
     config = AlignConfig(
         engine="batched",
         xdrop=20,
-        service=ServiceConfig(
-            num_workers=2,
-            transport="process",
-            worker_policy="batch",
-            max_batch_size=16,
-        ),
+        workers=request.param,
+        service=ServiceConfig(max_batch_size=16),
     )
     with ConformanceRunner(
         config=config,
@@ -39,7 +34,7 @@ def runner():
 
 def test_every_profile_is_bit_identical_over_the_network(runner):
     profiles = list_profiles()
-    assert len(profiles) >= 8
+    assert len(profiles) == 9
     total = None
     for name in profiles:
         spec = WorkloadSpec(count=3, seed=91, xdrop=20)

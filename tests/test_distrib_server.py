@@ -1,8 +1,8 @@
 """Network front door: server/client round trips and graceful shutdown.
 
-The in-process tests run the cheap thread transport — the socket protocol
-is transport-independent.  One subprocess test drives the real CLI
-(``repro-service serve --listen``) end to end, SIGTERM included.
+The in-process tests serve from this interpreter.  One subprocess test
+drives the real CLI (``repro-service serve --listen``) end to end, SIGTERM
+included.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ def server():
         engine="batched",
         scoring=_SCORING,
         xdrop=XDROP,
-        service=ServiceConfig(num_workers=2, max_batch_size=8),
+        workers=2,
+        service=ServiceConfig(max_batch_size=8),
     )
     with AlignmentServer(config=config) as srv:
         srv.start()
@@ -65,7 +66,8 @@ class TestRoundTrip:
         with ServiceClient(server.host, server.port) as client:
             identity = client.ping()
         assert identity["engine"] == "batched"
-        assert identity["transport"] == "thread"
+        assert identity["workers"] == 2
+        assert set(identity) == {"pid", "engine", "workers", "state_path"}
         assert identity["pid"] == os.getpid()
 
     def test_submit_is_bit_identical_and_cache_flagged(
@@ -122,6 +124,8 @@ class TestCliFrontDoor:
                 "batched",
                 "--xdrop",
                 str(XDROP),
+                "--workers",
+                "2",
                 "--json",
             ],
             stdout=subprocess.PIPE,
@@ -131,6 +135,8 @@ class TestCliFrontDoor:
         )
         try:
             ready = json.loads(proc.stdout.readline())
+            assert ready["workers"] == 2
+            assert set(ready) == {"listening", "pid", "engine", "workers"}
             port = ready["listening"]["port"]
             with ServiceClient("127.0.0.1", port) as client:
                 assert client.submit(module_jobs) == expected

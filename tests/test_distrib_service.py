@@ -1,9 +1,5 @@
-"""AlignmentService with the distributed knobs: process transport, durable
+"""AlignmentService with the distributed knobs: C-kernel threads, durable
 SQLite state, crash/restart recovery, and cache persistence.
-
-The one process-transport service here is module-scoped (spawning two
-interpreters costs seconds); every durable-state test runs on the cheap
-thread transport — the store integration is transport-independent.
 """
 
 from __future__ import annotations
@@ -24,18 +20,14 @@ XDROP = 30
 _SCORING = ScoringScheme()
 
 
-def _config(state_path=None, transport="thread", **service_overrides) -> AlignConfig:
+def _config(state_path=None, **service_overrides) -> AlignConfig:
     return AlignConfig(
         engine="batched",
         scoring=_SCORING,
         xdrop=XDROP,
+        workers=2,
         service=ServiceConfig(
-            num_workers=2,
-            max_batch_size=8,
-            transport=transport,
-            state_path=state_path,
-            worker_policy="batch" if transport == "process" else "cells",
-            **service_overrides,
+            max_batch_size=8, state_path=state_path, **service_overrides
         ),
     )
 
@@ -68,34 +60,29 @@ def expected(module_jobs):
     return engine.align_batch(module_jobs).results
 
 
-class TestProcessTransport:
-    @pytest.fixture(scope="class")
-    def mp_service(self):
-        with AlignmentService(config=_config(transport="process")) as service:
-            yield service
-
-    def test_results_bit_identical(self, mp_service, module_jobs, expected):
-        assert _run(mp_service, module_jobs) == expected
-
-    def test_worker_process_metrics_reach_the_service_registry(
-        self, mp_service, module_jobs
-    ):
-        _run(mp_service, module_jobs)
-        snap = mp_service.metrics_snapshot()
-        shard_jobs = sum(
-            snap.value("repro_worker_jobs_total", default=0.0, shard=str(i))
-            for i in range(2)
-        )
-        assert shard_jobs >= len(module_jobs)
-        # Engine counters tick inside the worker interpreters and are
-        # folded back as deltas — nonzero proves the merge happened.
-        assert snap.value("repro_engine_jobs_total", engine="batched") >= (
-            len(module_jobs)
+class TestThreadedService:
+    def test_results_bit_identical(self, module_jobs, expected):
+        with AlignmentService(config=_config()) as service:
+            assert service.engine.workers == 2
+            assert _run(service, module_jobs) == expected
+            snap = service.metrics_snapshot()
+        assert snap.value("repro_service_completed_total") == len(module_jobs)
+        assert snap.value("repro_service_cells_total") == sum(
+            result.cells_computed for result in expected
         )
 
-    def test_batch_policy_requires_process_transport(self):
-        with pytest.raises(ConfigurationError, match="batch"):
-            ServiceConfig(worker_policy="batch", transport="thread")
+    @pytest.mark.parametrize(
+        "removed",
+        [{"num_workers": 2}, {"worker_policy": "batch"}, {"transport": "process"}],
+        ids=lambda option: next(iter(option)),
+    )
+    def test_removed_service_options_are_rejected(self, removed):
+        """Config files written for the process transport fail loudly."""
+        (name,) = removed
+        with pytest.raises(ConfigurationError, match=f"unknown option.*{name}"):
+            ServiceConfig.from_dict(removed)
+        with pytest.raises(ConfigurationError, match=f"unknown option.*{name}"):
+            AlignConfig.from_dict({"service": removed})
 
 
 class TestDurableState:

@@ -1,9 +1,7 @@
-"""Wire codec and shared-memory packing of the distributed tier.
+"""Wire codec of the distributed tier.
 
 Everything here is single-process: frames over a socketpair, job/result
-JSON round trips, canonical cache-key JSON, and the shared-memory job
-block + packed result table that carry batches across the process
-boundary.
+JSON round trips and canonical cache-key JSON.
 """
 
 from __future__ import annotations
@@ -14,14 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core.result import ExtensionResult, SeedAlignmentResult
-from repro.core.scoring import ScoringScheme
-from repro.distrib.shm import (
-    RESULT_COLUMNS,
-    SharedJobBlock,
-    attach_jobs,
-    pack_results,
-    unpack_results,
-)
 from repro.distrib.wire import (
     cache_key_from_json,
     cache_key_to_json,
@@ -76,6 +66,25 @@ class TestJsonCodec:
         assert np.array_equal(back.left.band_widths, result.left.band_widths)
         assert np.array_equal(back.right.band_widths, result.right.band_widths)
 
+    @pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
+    def test_real_alignments_round_trip(self, small_jobs, scoring, trace):
+        engine = get_engine("batched", scoring=scoring, xdrop=30, trace=trace)
+        for result in engine.align_batch(small_jobs).results:
+            back = result_from_wire(result_to_wire(result))
+            assert back.score == result.score
+            for got, want in ((back.left, result.left), (back.right, result.right)):
+                assert (got.best_score, got.query_end, got.target_end) == (
+                    want.best_score, want.query_end, want.target_end
+                )
+                assert (got.anti_diagonals, got.cells_computed) == (
+                    want.anti_diagonals, want.cells_computed
+                )
+                assert got.terminated_early == want.terminated_early
+                if trace:
+                    assert np.array_equal(got.band_widths, want.band_widths)
+                else:
+                    assert got.band_widths is None
+
     def test_cache_key_round_trip(self, small_jobs, scoring):
         key = job_cache_key(small_jobs[0], scoring, 37)
         text = cache_key_to_json(key)
@@ -113,39 +122,3 @@ class TestFrames:
                 recv_frame(b)
         finally:
             b.close()
-
-
-class TestSharedMemory:
-    def test_job_block_round_trip_is_zero_copy(self, small_jobs):
-        block = SharedJobBlock.create(small_jobs)
-        try:
-            shm, back = attach_jobs(block.name)
-            try:
-                assert len(back) == len(small_jobs)
-                for orig, copy in zip(small_jobs, back):
-                    assert np.array_equal(copy.query, orig.query)
-                    assert np.array_equal(copy.target, orig.target)
-                    assert copy.seed == orig.seed
-                    assert copy.pair_id == orig.pair_id
-                    # The rebuilt jobs alias the mapped segment.
-                    assert np.shares_memory(
-                        copy.query, np.frombuffer(shm.buf, dtype=np.uint8)
-                    )
-            finally:
-                del back
-                shm.close()
-        finally:
-            block.close()
-            block.unlink()
-
-    def test_packed_results_round_trip_real_alignments(self, small_jobs, scoring):
-        engine = get_engine("batched", scoring=scoring, xdrop=30)
-        results = engine.align_batch(small_jobs).results
-        table = pack_results(results)
-        assert table.shape == (len(results), RESULT_COLUMNS)
-        assert unpack_results(table) == results
-
-    def test_unpack_accepts_plain_lists(self):
-        result = _sample_result()
-        table = pack_results([result]).tolist()
-        assert unpack_results(table) == [result]

@@ -81,12 +81,12 @@ class TestServiceInstrumentation:
             "repro_batches_formed_total",
             "repro_batch_occupancy",
             "repro_cache_hit_rate",
-            "repro_worker_busy_seconds_total",
+            "repro_service_busy_seconds_total",
             "repro_service_cells_total",
         ):
             assert required in names, f"missing {required}"
-        # Per-shard heat carries the shard label.
-        assert snap.value("repro_worker_jobs_total", shard="0") == len(small_jobs)
+        assert not [name for name in names if name.startswith("repro_worker_")]
+        assert snap.value("repro_service_completed_total") == len(small_jobs)
         # Settled service: no queue backlog left behind.
         assert snap.value("repro_queue_depth") == 0.0
 
@@ -135,7 +135,8 @@ class TestServiceInstrumentation:
         assert "worker_crash" in events
         on_disk = json.loads((tmp_path / "crash.json").read_text())
         assert on_disk["kind"] == "flight_recorder_dump"
-        assert on_disk["provenance"].get("git_sha") is not None
+        # Outside a git checkout (or with git off PATH) the SHA is None.
+        assert on_disk["provenance"]["git_sha"] == obs.git_sha()
 
     def test_tracing_off_means_no_crash_dump(self, small_jobs):
         service = _service(small_jobs)

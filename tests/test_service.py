@@ -27,8 +27,8 @@ from repro.service import (
     AlignmentTicket,
     BatchPolicy,
     ResultCache,
+    BatchRunner,
     ServiceStats,
-    ShardedWorkerPool,
     SubmissionQueue,
     job_cache_key,
 )
@@ -287,41 +287,29 @@ class TestAdaptiveBatcher:
             BatchPolicy(max_wait_seconds=-1.0)
 
 
-class TestShardedWorkerPool:
-    def test_results_stay_in_job_order(self):
+class TestBatchRunner:
+    def test_one_engine_call_in_job_order(self):
         jobs = mixed_jobs(num_pairs=10, rng_seed=5)
         engine = get_engine("batched", scoring=SCORING, xdrop=30)
-        pool = ShardedWorkerPool(engine, num_workers=3, xdrop=30)
-        run = pool.run_batch(jobs)
+        run = BatchRunner(engine).run_batch(jobs)
         direct = engine.align_batch(jobs)
-        assert [r.score for r in run.results] == direct.scores()
-        assert run.summary.cells == direct.summary.cells
-        assert run.shards_used == 3
+        assert run.results == direct.results
+        assert run.summary == direct.summary
+        assert run.extras["kernel_stats"] == direct.extras["kernel_stats"]
 
-    def test_more_workers_than_jobs(self):
-        jobs = mixed_jobs(num_pairs=2, rng_seed=6)
-        engine = get_engine("batched", scoring=SCORING, xdrop=20)
-        pool = ShardedWorkerPool(engine, num_workers=6, xdrop=20)
-        run = pool.run_batch(jobs)
-        assert len(run.results) == 2
-        assert run.shards_used == 2
+    def test_kernel_threads_do_not_change_the_run(self):
+        jobs = mixed_jobs(num_pairs=8, rng_seed=6)
+        single = BatchRunner(get_engine("batched", xdrop=20)).run_batch(jobs)
+        threaded = BatchRunner(get_engine("batched", xdrop=20, workers=2)).run_batch(jobs)
+        assert threaded.results == single.results
+        assert threaded.extras["kernel_stats"] == single.extras["kernel_stats"]
 
-    def test_empty_batch(self):
-        pool = ShardedWorkerPool(get_engine("batched"), num_workers=2)
-        run = pool.run_batch([])
-        assert run.results == [] and run.shards_used == 0
-
-    def test_per_worker_accounting(self):
-        jobs = mixed_jobs(num_pairs=8, rng_seed=7)
-        engine = get_engine("batched", scoring=SCORING, xdrop=25)
-        pool = ShardedWorkerPool(engine, num_workers=2, xdrop=25)
-        run = pool.run_batch(jobs)
-        assert sum(w.jobs for w in pool.worker_stats) == len(jobs)
-        assert sum(w.cells for w in pool.worker_stats) == run.summary.cells
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ServiceError):
-            ShardedWorkerPool(get_engine("batched"), num_workers=0)
+    def test_batch_parameters_override_the_engine_defaults(self):
+        jobs = mixed_jobs(num_pairs=6, rng_seed=7)
+        runner = BatchRunner(get_engine("batched", scoring=SCORING, xdrop=60))
+        run = runner.run_batch(jobs, scoring=SCORING, xdrop=15)
+        want = get_engine("batched", scoring=SCORING, xdrop=15).align_batch(jobs)
+        assert run.results == want.results
 
 
 class TestAlignmentServiceEndToEnd:
@@ -335,7 +323,6 @@ class TestAlignmentServiceEndToEnd:
             engine="batched",
             scoring=SCORING,
             xdrop=30,
-            num_workers=2,
             policy=BatchPolicy(max_batch_size=6),
         )
         tickets = [service.submit(job) for job in jobs]
@@ -401,7 +388,7 @@ class TestAlignmentServiceEndToEnd:
             service.submit(tiny_job())
 
     def test_stats_snapshot_shape(self):
-        service = AlignmentService(engine="batched", num_workers=2)
+        service = AlignmentService(engine="batched")
         service.map(mixed_jobs(num_pairs=4, rng_seed=23))
         payload = service.stats().to_dict()
         for key in (
@@ -410,11 +397,9 @@ class TestAlignmentServiceEndToEnd:
             "batches_formed",
             "cache_hit_rate",
             "throughput_gcups",
-            "workers",
         ):
             assert key in payload
         assert payload["throughput_gcups"] >= 0
-        assert len(payload["workers"]) == 2
         service.shutdown()
 
     def test_stats_carry_no_batch_size_hint(self):
@@ -490,10 +475,9 @@ class TestServiceUnderLoad:
         jobs = self._skewed_jobs()
         direct = get_engine("batched", scoring=SCORING, xdrop=25).align_batch(jobs)
         service = AlignmentService(
-            engine="batched",
+            engine=get_engine("batched", scoring=SCORING, xdrop=25, workers=2),
             scoring=SCORING,
             xdrop=25,
-            num_workers=2,
             policy=BatchPolicy(max_batch_size=5, max_wait_seconds=0.005),
         ).start()
         try:

@@ -120,9 +120,8 @@ def test_bella_pipeline_rejects_short_alignment_results(tiny_reads, monkeypatch)
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
-@pytest.mark.parametrize("num_workers", [1, 2])
-def test_worker_pool_rejects_wrong_length_shard_results(jobs, fault, num_workers):
-    from repro.service.workers import ShardedWorkerPool
+def test_worker_pool_rejects_wrong_length_shard_results(jobs, fault):
+    from repro.service.workers import BatchRunner
 
     engine = get_engine("batched", xdrop=30)
     real = engine.align_batch
@@ -133,9 +132,8 @@ def test_worker_pool_rejects_wrong_length_shard_results(jobs, fault, num_workers
         return batch
 
     engine.align_batch = faulty_batch
-    pool = ShardedWorkerPool(engine, num_workers=num_workers, xdrop=30)
-    with pytest.raises(ValueError, match="zip"):
-        pool.run_batch(jobs)
+    with pytest.raises(ValueError, match=f"results for a batch of {len(jobs)} jobs"):
+        BatchRunner(engine).run_batch(jobs)
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))

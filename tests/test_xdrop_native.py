@@ -4,7 +4,7 @@
 call and the ``batched`` and ``logan`` engines run it whenever it loaded.
 These tests pin its results to the scalar reference field for field (band
 traces included), on random pairs and scoring schemes and on every
-workload-bank profile over the network and process transports.  They also
+workload-bank profile through the service and the socket.  They also
 pin the loader: racing builds, a failed build falling back to numpy with
 its reason recorded, no build at import or engine construction, and the
 kernel telemetry the benchmark divides by.
@@ -33,10 +33,12 @@ from repro.core import ScoringScheme, xdrop_native
 from repro.core.job import AlignmentJob
 from repro.core.seed_extend import Seed
 from repro.core.xdrop import xdrop_extend_reference
+from repro.core.xdrop_batch import BatchKernelStats, xdrop_extend_batch
 from repro.core.xdrop_native import NativeKernel, native_kernel
 from repro.data import PairSetSpec, generate_pair_set
 from repro.engine import get_engine
-from repro.logan.kernel import kernel_name
+from repro.logan.host import prepare_batch
+from repro.logan.kernel import extend_pairs_batched, kernel_name
 from repro.testing import ConformanceRunner
 from repro.workloads import WorkloadSpec, generate_workload, list_profiles
 
@@ -160,35 +162,30 @@ def test_seed_flush_sides_join_like_the_reference(query, edits, flush, trace):
 
 
 @requires_cc
-def test_every_profile_over_network_and_process_transport():
-    """All 9 workload-bank profiles: engines, service and socket + process pool.
-
-    The process transport's packed result tables cannot carry band traces,
-    so traces are compared by a second, in-process run with tracing on.
-    """
-    process = ServiceConfig(
-        num_workers=2, transport="process", worker_policy="batch", max_batch_size=8
-    )
+def test_every_profile_over_the_network_on_two_threads():
+    """All 9 workload-bank profiles: engines, service and socket, traced,
+    with the C kernel splitting every batch over two threads."""
     profiles = list_profiles()
     assert len(profiles) == 9
     assert native_kernel().available
-    engines = ["reference", "batched", "logan"]
+    config = AlignConfig(
+        engine="batched",
+        xdrop=20,
+        trace=True,
+        workers=2,
+        service=ServiceConfig(max_batch_size=8),
+    )
     with ConformanceRunner(
-        AlignConfig(engine="batched", xdrop=20, service=process),
-        engines=engines,
+        config,
+        engines=["reference", "batched", "logan"],
         include_service=True,
         include_network=True,
-    ) as networked:
-        traced = ConformanceRunner(
-            AlignConfig(engine="batched", xdrop=20, trace=True), engines=engines
-        )
+    ) as runner:
         for name in profiles:
             workload = generate_workload(name, WorkloadSpec(count=4, seed=29, xdrop=20))
-            for runner in (networked, traced):
-                report = runner.run_workload(workload)
-                assert report.ok, f"{name}: {report.summary()}"
-                assert report.service_checked, name
-                assert report.network_checked is (runner is networked), name
+            report = runner.run_workload(workload)
+            assert report.ok, f"{name}: {report.summary()}"
+            assert report.service_checked and report.network_checked, name
 
 
 @pytest.mark.parametrize("profile", list_profiles())
@@ -207,10 +204,12 @@ def test_numpy_fallback_stays_bit_identical(numpy_fallback, profile):
 @requires_cc
 @pytest.mark.parametrize("profile", list_profiles())
 def test_both_kernels_count_the_same_work(monkeypatch, profile):
-    """Per profile, the C and numpy kernels agree on results, rows and cells.
+    """Per profile, the C and numpy kernels agree on results, rows, cells
+    and live row steps.
 
-    Their ``steps`` differ by design: the numpy sweep advances one global
-    anti-diagonal counter over the packed rows, the C kernel pads nothing.
+    Their ``steps`` and ``row_steps`` differ by design: the numpy sweep
+    advances one global anti-diagonal counter over the packed rows, the C
+    kernel pads nothing.
     """
     workload = generate_workload(profile, WorkloadSpec(count=5, seed=31, xdrop=20))
     engine = get_engine("batched", xdrop=20, trace=True)
@@ -225,7 +224,30 @@ def test_both_kernels_count_the_same_work(monkeypatch, profile):
         assert _fields(got.right) == _fields(want.right)
     ours, theirs = native.extras["kernel_stats"], fallback.extras["kernel_stats"]
     assert (ours.rows, ours.cells) == (theirs.rows, theirs.cells)
+    assert ours.active_row_steps == theirs.active_row_steps
     assert (ours.dtype, theirs.dtype) == ("int64", "int16")
+
+
+@requires_cc
+@pytest.mark.parametrize("profile", list_profiles())
+def test_both_kernels_count_the_same_steps(profile):
+    """One step definition: on a batch of one, where the numpy sweep pads
+    nothing, both kernels report the same steps, row steps and live steps."""
+    scoring = ScoringScheme()
+    workload = generate_workload(profile, WorkloadSpec(count=5, seed=31, xdrop=20))
+    prepared = prepare_batch(workload.jobs, scoring)
+    tasks = prepared.left_tasks + prepared.right_tasks
+    pairs = [(task.query, task.target) for task in tasks if not task.is_empty]
+    assert pairs
+    counted = ("rows", "steps", "row_steps", "active_row_steps", "cells")
+    for pair in pairs:
+        native, swept = BatchKernelStats(), BatchKernelStats()
+        sides = extend_pairs_batched([pair], scoring, 20, stats=native)
+        xdrop_extend_batch([pair], scoring=scoring, xdrop=20, stats=swept)
+        assert [getattr(native, name) for name in counted] == [
+            getattr(swept, name) for name in counted
+        ]
+        assert native.steps == sides[0].anti_diagonals - 1
 
 
 # --------------------------------------------------------------------------- #
@@ -252,7 +274,8 @@ def test_direct_batched_call_reports_unpadded_steps(jobs):
     sides = [side for r in batch.results for side in (r.left, r.right)]
     assert stats.rows == len(sides) == 2 * len(jobs)
     assert stats.steps > 0
-    assert stats.steps == stats.row_steps == sum(s.anti_diagonals for s in sides)
+    assert stats.steps == stats.row_steps == stats.active_row_steps
+    assert stats.steps == sum(s.anti_diagonals - 1 for s in sides)
     assert stats.cells == sum(s.cells_computed for s in sides)
     assert stats.dtype == "int64"
     assert stats.live_fraction == 1.0
